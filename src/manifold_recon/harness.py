@@ -214,16 +214,10 @@ def _run_cell(spec: ExperimentSpec, holdout: Dataset, n: int, k: int,
     }
 
 
-def tradeoff_experiment(spec: ExperimentSpec) -> ExperimentReport:
-    """Full (n, k, repeat) grid: sample train set, fit best-of-restarts,
-    evaluate on the shared hold-out sample."""
-    holdout = spec.manifold.sample(spec.holdout_size,
-                                   mix_seed(spec.base_seed, HOLDOUT_TAG))
-    cells = [(n, k, rep)
-             for n in spec.train_sizes
-             for k in _resolve_k_grid(spec, n)
-             for rep in range(spec.repeats)]
-
+def _run_cells(spec: ExperimentSpec, holdout: Dataset,
+               cells: Sequence[Tuple[int, int, int]]) -> List[dict]:
+    """Rows of the (n, k, repeat) cells, in the order given; the cells run
+    on a pool of `spec.threads` threads when that is above 1."""
     def run(cell):
         n, k, rep = cell
         try:
@@ -233,9 +227,19 @@ def tradeoff_experiment(spec: ExperimentSpec) -> ExperimentReport:
 
     if spec.threads > 1:
         with ThreadPoolExecutor(max_workers=spec.threads) as pool:
-            rows = list(pool.map(run, cells))
-    else:
-        rows = [run(c) for c in cells]
+            return list(pool.map(run, cells))
+    return [run(c) for c in cells]
+
+
+def tradeoff_experiment(spec: ExperimentSpec) -> ExperimentReport:
+    """Full (n, k, repeat) grid: sample train set, fit best-of-restarts,
+    evaluate on the shared hold-out sample."""
+    holdout = spec.manifold.sample(spec.holdout_size,
+                                   mix_seed(spec.base_seed, HOLDOUT_TAG))
+    rows = _run_cells(spec, holdout, [(n, k, rep)
+                                      for n in spec.train_sizes
+                                      for k in _resolve_k_grid(spec, n)
+                                      for rep in range(spec.repeats)])
     violations = sum(r.pop("descent_violations") for r in rows)
     report = ExperimentReport(rows=rows, descent_violations=violations)
     family = "kflats" if spec.algorithm == "kflats" else "kmeans"
@@ -258,15 +262,13 @@ def select_k(spec: ExperimentSpec, n: Optional[int] = None) -> int:
     ties resolved to the smallest k."""
     if n is None:
         n = spec.train_sizes[0]
-    grid = _resolve_k_grid(spec, n)
-    cell_rows = {}
+    grid = list(dict.fromkeys(_resolve_k_grid(spec, n)))
     holdout = spec.manifold.sample(spec.holdout_size,
                                    mix_seed(spec.base_seed, HOLDOUT_TAG))
-    for k in grid:
-        errs = [_run_cell(spec, holdout, n, k, rep)["holdout"]
-                for rep in range(spec.repeats)]
-        cell_rows[k] = float(np.mean(errs))
-    return argmin_k(cell_rows)
+    rows = _run_cells(spec, holdout,
+                      [(n, k, rep) for k in grid for rep in range(spec.repeats)])
+    return argmin_k({k: float(np.mean([r["holdout"] for r in rows if r["k"] == k]))
+                     for k in grid})
 
 
 def argmin_k(errors: dict) -> int:
@@ -324,10 +326,8 @@ def rate_experiment(spec: ExperimentSpec, schedule: str | None = None) -> Experi
     run_spec = replace(spec, algorithm=algo, k_grid=[1])  # grid replaced per n below
     holdout = spec.manifold.sample(spec.holdout_size,
                                    mix_seed(spec.base_seed, HOLDOUT_TAG))
-    rows = []
-    for n in sizes:
-        for rep in range(spec.repeats):
-            rows.append(_run_cell(run_spec, holdout, n, ks[n], rep))
+    rows = _run_cells(run_spec, holdout,
+                      [(n, ks[n], rep) for n in sizes for rep in range(spec.repeats)])
     violations = sum(r.pop("descent_violations") for r in rows)
     mean_err = [float(np.mean([r["holdout"] for r in rows if r["n"] == n]))
                 for n in sizes]

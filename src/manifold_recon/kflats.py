@@ -18,10 +18,10 @@ from .geometry import Dataset
 from .kmeans import FitConfig, seed_kmeanspp
 from .util import fsum_mean, min_sqdist, mix_seed
 
-# Documented eigen-solver contract: basis vectors satisfy the covariance
-# eigen-residual ||C v - lambda v|| <= 1e-10 * ||C|| (LAPACK SVD is far
-# inside this for unit-ball data). Ties leave the basis non-unique; only
-# the projection operator B B^T is contractual.
+# Eigen-solver contract, enforced by the refit_cell tests: basis vectors
+# satisfy the covariance eigen-residual ||C v - lambda v|| <= 1e-10 * ||C||
+# (LAPACK SVD is far inside this for unit-ball data). Ties leave the basis
+# non-unique; only the projection operator B B^T is contractual.
 EIG_RESIDUAL_TOL = 1e-10
 
 

@@ -25,26 +25,82 @@ def mix_seed(*parts) -> int:
     return h
 
 
-def min_sqdist(X: np.ndarray, C: np.ndarray, chunk: int = 8192):
+# Rows per block: bounds the (block, k, D) difference tensor of the explicit
+# path and the (k, block) score matrix of the screen.
+CHUNK = 8192
+# The screen runs when k and the pair count n*k both reach these. Below
+# 2000 pairs its fixed cost per call loses; at k = 2 it gains little or
+# loses. k = 3 would gain too but stays explicit, with the circle rate fits
+# (k <= 3) that run there (per-shape sweep in CHANGES.md).
+SCREEN_MIN_K = 4
+SCREEN_MIN_PAIRS = 2000
+_UNIT_ROUNDOFF = 2.0 ** -53
+
+
+def _gamma(m: int) -> float:
+    """Higham's gamma_m = m u / (1 - m u): the relative error bound of an
+    m-step float64 sum or dot product, whatever the order of the terms."""
+    return m * _UNIT_ROUNDOFF / (1.0 - m * _UNIT_ROUNDOFF)
+
+
+def _explicit_min(blk: np.ndarray, C: np.ndarray):
+    """Nearest centre from explicit differences; ties go to the lowest index."""
+    diff = blk[:, None, :] - C[None, :, :]
+    dist = np.einsum("ijk,ijk->ij", diff, diff)
+    j = np.argmin(dist, axis=1)
+    return dist[np.arange(blk.shape[0]), j], j
+
+
+def _screened_min(blk: np.ndarray, C: np.ndarray):
+    """Nearest centre by the GEMM screen of min_sqdist; the rows it cannot
+    settle, and only those, go through _explicit_min."""
+    D = C.shape[1]
+    with np.errstate(invalid="ignore", over="ignore"):
+        cc = np.einsum("ij,ij->i", C, C)
+        t = (-2.0 * C) @ blk.T
+        t += cc[:, None]
+        reach = np.sqrt(np.einsum("ij,ij->i", blk, blk)) + np.sqrt(cc.max())
+        band = 8.0 * _gamma(D + 3) * (reach * reach + np.finfo(np.float64).tiny)
+        near = t <= t.min(axis=0) + band
+    j = near.argmax(axis=0)
+    diff = blk - C.take(j, axis=0)
+    d2 = np.einsum("ij,ij->i", diff, diff)
+    unsure = np.flatnonzero(near.sum(axis=0) != 1)
+    if unsure.size:
+        d2[unsure], j[unsure] = _explicit_min(blk[unsure], C)
+    return d2, j
+
+
+def min_sqdist(X: np.ndarray, C: np.ndarray):
     """Per-row min squared distance from X (n,D) to centers C (k,D).
 
-    Distances are computed from explicit differences (no dot-product
-    expansion) so small residuals keep full precision. Chunked over rows
-    to bound the (chunk, k, D) temporary. Ties resolve to the lowest
-    center index via argmin.
+    Returns (d2, idx): arrays of shape (n,). Ties resolve to the lowest
+    center index. The result is the same, bit for bit, as the argmin of the
+    explicit squared differences sum((x - c)^2), which keeps small residuals
+    at full precision.
 
-    Returns (d2, idx): arrays of shape (n,).
+    Float64 shapes with k >= SCREEN_MIN_K and n*k >= SCREEN_MIN_PAIRS first
+    screen the centres with one GEMM per block of rows,
+    t_j = ||c_j||^2 - 2 x.c_j, which orders them as ||x - c_j||^2 does.
+    With B = (||x|| + max_j ||c_j||)^2 and gamma_m = m u / (1 - m u), t_j
+    errs by at most gamma_{D+1} B and the explicit form by at most
+    gamma_{D+2} B, whatever the order of the sums. So a row whose screened
+    runner-up exceeds its best by more than 2 (gamma_{D+1} + gamma_{D+2}) B
+    has the same explicit argmin, and only its winner's d2 is computed, by
+    the explicit difference. The band used, 8 gamma_{D+3} (B + tiny), is at
+    least twice that bound; the slack covers the rounding of B and of the
+    comparison, plus underflow. Rows inside the band (exact ties, duplicate
+    centres, non-finite values) and all rows of smaller shapes take the
+    explicit path.
     """
-    n = X.shape[0]
+    n, k = X.shape[0], C.shape[0]
+    screen = (X.dtype == C.dtype == np.float64 and k >= SCREEN_MIN_K
+              and n * k >= SCREEN_MIN_PAIRS)
+    nearest = _screened_min if screen else _explicit_min
     d2 = np.empty(n)
     idx = np.empty(n, dtype=np.intp)
-    for i in range(0, n, chunk):
-        blk = X[i:i + chunk]
-        diff = blk[:, None, :] - C[None, :, :]
-        dist = np.einsum("ijk,ijk->ij", diff, diff)
-        j = np.argmin(dist, axis=1)
-        idx[i:i + chunk] = j
-        d2[i:i + chunk] = dist[np.arange(blk.shape[0]), j]
+    for i in range(0, n, CHUNK):
+        d2[i:i + CHUNK], idx[i:i + CHUNK] = nearest(X[i:i + CHUNK], C)
     return d2, idx
 
 

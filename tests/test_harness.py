@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -179,6 +180,34 @@ def test_rate_experiment_small_run():
     assert rep.rate_fit.slope < 0.0
     assert len(rep.rows) == 4
     assert rep.descent_violations == 0
+
+
+def test_rates_and_select_k_honour_threads(monkeypatch):
+    pools = []
+
+    class RecordingPool(harness.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", RecordingPool)
+
+    def without_seconds(rows):
+        return [{key: v for key, v in r.items() if key != "seconds"} for r in rows]
+
+    spec = small_spec(train_sizes=[50, 200, 1000, 5000], k_grid="auto", repeats=2)
+    serial = harness.rate_experiment(spec)
+    assert pools == []
+    threaded = harness.rate_experiment(replace(spec, threads=2))
+    assert pools == [2]
+    assert without_seconds(threaded.rows) == without_seconds(serial.rows)
+    assert threaded.rate_fit == serial.rate_fit
+
+    spec = small_spec(manifold=SPHERE2, train_sizes=[30], k_grid=[1, 4, 12],
+                      repeats=3, holdout_size=2000)
+    k_serial = harness.select_k(spec)
+    assert harness.select_k(replace(spec, threads=2)) == k_serial
+    assert pools == [2, 2]
 
 
 def test_holdout_error_type_dispatch():

@@ -194,3 +194,24 @@ def test_refit_is_optimal_among_random_flats(X, d):
                         degenerate=np.zeros(d, dtype=bool))
         rival = sum(kflats.flat_distance_sq(x, g) for x in X)
         assert best <= rival + 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 40), st.integers(1, 6), st.integers(0, 6),
+       st.integers(0, 2 ** 32 - 1))
+def test_refit_basis_meets_eigen_residual_contract(n, D, rank, seed):
+    """Every non-degenerate basis column is an eigenvector of the cell
+    covariance: ||C v - lambda v|| <= EIG_RESIDUAL_TOL * ||C||, including
+    cells whose points span fewer than d directions."""
+    rng = np.random.default_rng(seed)
+    rank = min(rank, D)
+    pts = (rng.standard_normal((n, rank)) @ rng.standard_normal((rank, D))
+           + rng.standard_normal(D))
+    for d in range(D + 1):
+        f = kflats.refit_cell(pts, d)
+        centered = pts - pts.mean(axis=0)
+        cov = centered.T @ centered / n
+        cov_norm = np.linalg.norm(cov, 2)
+        for v in f.basis[:, ~f.degenerate].T:
+            lam = v @ cov @ v
+            assert np.linalg.norm(cov @ v - lam * v) <= kflats.EIG_RESIDUAL_TOL * cov_norm

@@ -214,10 +214,14 @@ def _run_cell(spec: ExperimentSpec, holdout: Dataset, n: int, k: int,
     }
 
 
-def _run_cells(spec: ExperimentSpec, holdout: Dataset,
-               cells: Sequence[Tuple[int, int, int]]) -> List[dict]:
-    """Rows of the (n, k, repeat) cells, in the order given; the cells run
-    on a pool of `spec.threads` threads when that is above 1."""
+def _run_cells(spec: ExperimentSpec,
+               cells: Sequence[Tuple[int, int, int]]) -> Tuple[List[dict], int]:
+    """Rows of the (n, k, repeat) cells, in the order given, scored on the
+    shared hold-out sample, plus their summed descent violations; the cells
+    run on a pool of `spec.threads` threads when that is above 1."""
+    holdout = spec.manifold.sample(spec.holdout_size,
+                                   mix_seed(spec.base_seed, HOLDOUT_TAG))
+
     def run(cell):
         n, k, rep = cell
         try:
@@ -227,20 +231,19 @@ def _run_cells(spec: ExperimentSpec, holdout: Dataset,
 
     if spec.threads > 1:
         with ThreadPoolExecutor(max_workers=spec.threads) as pool:
-            return list(pool.map(run, cells))
-    return [run(c) for c in cells]
+            rows = list(pool.map(run, cells))
+    else:
+        rows = [run(c) for c in cells]
+    return rows, sum(r.pop("descent_violations") for r in rows)
 
 
 def tradeoff_experiment(spec: ExperimentSpec) -> ExperimentReport:
     """Full (n, k, repeat) grid: sample train set, fit best-of-restarts,
     evaluate on the shared hold-out sample."""
-    holdout = spec.manifold.sample(spec.holdout_size,
-                                   mix_seed(spec.base_seed, HOLDOUT_TAG))
-    rows = _run_cells(spec, holdout, [(n, k, rep)
-                                      for n in spec.train_sizes
-                                      for k in _resolve_k_grid(spec, n)
-                                      for rep in range(spec.repeats)])
-    violations = sum(r.pop("descent_violations") for r in rows)
+    rows, violations = _run_cells(spec, [(n, k, rep)
+                                         for n in spec.train_sizes
+                                         for k in _resolve_k_grid(spec, n)
+                                         for rep in range(spec.repeats)])
     report = ExperimentReport(rows=rows, descent_violations=violations)
     family = "kflats" if spec.algorithm == "kflats" else "kmeans"
     d = spec.manifold.intrinsic_dim
@@ -263,10 +266,8 @@ def select_k(spec: ExperimentSpec, n: Optional[int] = None) -> int:
     if n is None:
         n = spec.train_sizes[0]
     grid = list(dict.fromkeys(_resolve_k_grid(spec, n)))
-    holdout = spec.manifold.sample(spec.holdout_size,
-                                   mix_seed(spec.base_seed, HOLDOUT_TAG))
-    rows = _run_cells(spec, holdout,
-                      [(n, k, rep) for k in grid for rep in range(spec.repeats)])
+    rows, _ = _run_cells(spec, [(n, k, rep) for k in grid
+                                for rep in range(spec.repeats)])
     return argmin_k({k: float(np.mean([r["holdout"] for r in rows if r["k"] == k]))
                      for k in grid})
 
@@ -324,11 +325,8 @@ def rate_experiment(spec: ExperimentSpec, schedule: str | None = None) -> Experi
         ks = {n: max(1, round(kn_kmeans(n, d, dn))) for n in sizes}
         algo = spec.algorithm if spec.algorithm != "kflats" else "kmeans"
     run_spec = replace(spec, algorithm=algo, k_grid=[1])  # grid replaced per n below
-    holdout = spec.manifold.sample(spec.holdout_size,
-                                   mix_seed(spec.base_seed, HOLDOUT_TAG))
-    rows = _run_cells(run_spec, holdout,
-                      [(n, ks[n], rep) for n in sizes for rep in range(spec.repeats)])
-    violations = sum(r.pop("descent_violations") for r in rows)
+    rows, violations = _run_cells(
+        run_spec, [(n, ks[n], rep) for n in sizes for rep in range(spec.repeats)])
     mean_err = [float(np.mean([r["holdout"] for r in rows if r["n"] == n]))
                 for n in sizes]
     return ExperimentReport(rows=rows, rate_fit=fit_loglog(sizes, mean_err),

@@ -3,20 +3,24 @@
 Each cell is refit by d-truncated PCA (offset = cell mean, basis = top-d
 principal directions); points are assigned to the flat with the smallest
 squared residual. Rank-deficient cells get explicit zero basis columns
-flagged degenerate, so the alternation is total. Initialization reuses the
-k-means++ point seeding followed by per-cell PCA.
+flagged degenerate, so the alternation is total. The alternation and the
+restarts are the k-means engine (kmeans._best_of_restarts); k-flats
+supplies the argmin of `_dist2_matrix` as the assignment, per-cell
+`refit_cell` as the update, and as the start the PCA of the Voronoi cells
+of k-means++ point seeds.
 """
 
 import json
 from dataclasses import dataclass, field
-from typing import List, Optional
+from functools import partial
+from typing import Optional
 
 import numpy as np
 
 from .errors import ParameterError
 from .geometry import Dataset
-from .kmeans import FitConfig, seed_kmeanspp
-from .util import fsum_mean, min_sqdist, mix_seed
+from .kmeans import FitConfig, _best_of_restarts, seed_kmeanspp
+from .util import fsum_mean, min_sqdist
 
 # Eigen-solver contract, enforced by the refit_cell tests: basis vectors
 # satisfy the covariance eigen-residual ||C v - lambda v|| <= 1e-10 * ||C||
@@ -174,10 +178,17 @@ def refit_cell(points: np.ndarray, d: int) -> Flat:
                 degenerate=np.arange(d) >= rank)
 
 
-def _degenerate_flat(point: np.ndarray, d: int) -> Flat:
-    D = point.shape[0]
-    return Flat(offset=point.copy(), basis=np.zeros((D, d)),
-                degenerate=np.ones(d, dtype=bool))
+def _nearest_flat(X: np.ndarray, flats):
+    """(d2, assign) against the nearest flat, ties to the lowest index."""
+    dist = _dist2_matrix(X, flats)
+    assign = np.argmin(dist, axis=1)
+    return dist[np.arange(X.shape[0]), assign], assign
+
+
+def _refit_cells(X: np.ndarray, assign: np.ndarray, counts: np.ndarray,
+                 d: int) -> list:
+    """k-flats cell update: the d-truncated PCA of every cell."""
+    return [refit_cell(X[assign == j], d) for j in range(counts.size)]
 
 
 def empirical_error(data: Dataset, model) -> float:
@@ -185,56 +196,7 @@ def empirical_error(data: Dataset, model) -> float:
     flats = model.flats if isinstance(model, FlatsModel) else tuple(model)
     if flats[0].ambient_dim != data.ambient_dim:
         raise ParameterError("ambient dim mismatch between data and flats")
-    d2 = _dist2_matrix(data.points, flats).min(axis=1)
-    return fsum_mean(d2)
-
-
-def _alternate(X: np.ndarray, flats, d: int, cfg: FitConfig):
-    n, k = X.shape[0], len(flats)
-    flats = list(flats)
-    prev_assign = None
-    prev_obj = np.inf
-    trace: List[float] = []
-    violations = 0
-    it = 0
-    for it in range(1, cfg.max_iters + 1):
-        dist = _dist2_matrix(X, flats)
-        assign = np.argmin(dist, axis=1)
-        d2 = dist[np.arange(n), assign]
-        counts = np.bincount(assign, minlength=k)
-        empties = np.flatnonzero(counts == 0)
-        if empties.size:
-            # farthest-first donors; a donor must leave a non-empty cell
-            # behind (k <= n guarantees one exists by pigeonhole)
-            pick = d2.copy()
-            for j in empties:
-                while True:
-                    far = int(np.argmax(pick))
-                    pick[far] = -np.inf
-                    if counts[assign[far]] > 1:
-                        break
-                counts[assign[far]] -= 1
-                counts[j] += 1
-                flats[j] = _degenerate_flat(X[far], d)
-                assign[far] = j
-                d2[far] = 0.0
-        obj = fsum_mean(d2)
-        trace.append(obj)
-        if obj > prev_obj + 1e-12:
-            violations += 1
-        stable = prev_assign is not None and np.array_equal(assign, prev_assign)
-        flats = [refit_cell(X[assign == j], d) for j in range(k)]
-        if stable:
-            break
-        if prev_obj < np.inf and prev_obj - obj <= cfg.rel_tol * max(prev_obj, 1e-300):
-            break
-        prev_obj = obj
-        prev_assign = assign
-    final_obj = fsum_mean(_dist2_matrix(X, flats).min(axis=1))
-    trace.append(final_obj)
-    if final_obj > trace[-2] + 1e-12:
-        violations += 1
-    return tuple(flats), final_obj, it, trace, violations
+    return fsum_mean(_dist2_matrix(data.points, flats).min(axis=1))
 
 
 def fit(data: Dataset, k: int, d: int, cfg: Optional[FitConfig] = None,
@@ -242,9 +204,10 @@ def fit(data: Dataset, k: int, d: int, cfg: Optional[FitConfig] = None,
     """Best-of-restarts k-flats.
 
     Each restart seeds k centers by k-means++ on the points, forms the
-    point-distance Voronoi cells, refits each as a flat, then alternates
-    assign/refit until the assignment is stable or the relative objective
-    decrease drops below cfg.rel_tol.
+    point-distance Voronoi cells, refits each as a flat (an empty cell as
+    the degenerate flat through the point farthest from its center), then
+    alternates assign/refit until the assignment is stable or the relative
+    objective decrease drops below cfg.rel_tol.
     """
     cfg = cfg or FitConfig()
     if not (1 <= k <= data.size):
@@ -253,35 +216,24 @@ def fit(data: Dataset, k: int, d: int, cfg: Optional[FitConfig] = None,
         raise ParameterError(
             f"need 0 <= d <= D, got d={d}, D={data.ambient_dim}")
     X = data.points
-    best = None
-    total_violations = 0
-    for r in range(cfg.restarts):
-        centers = seed_kmeanspp(data, k, mix_seed(seed, r))
-        d2_pts, assign = min_sqdist(X, centers)
-        flats = []
-        for j in range(k):
-            cell = X[assign == j]
-            if cell.shape[0] == 0:
-                far = int(np.argmax(d2_pts))
-                flats.append(_degenerate_flat(X[far], d))
-            else:
-                flats.append(refit_cell(cell, d))
-        flats, obj, iters, trace, viol = _alternate(X, flats, d, cfg)
-        total_violations += viol
-        if trace_sink is not None:
-            trace_sink.append(trace)
-        if best is None or obj < best[1]:
-            best = (flats, obj, iters)
-    flats, obj, iters = best
+
+    def start(s):
+        d2, assign = min_sqdist(X, seed_kmeanspp(data, k, s))
+        cells = [X[assign == j] for j in range(k)]
+        far = X[[int(np.argmax(d2))]]
+        return [refit_cell(cell if len(cell) else far, d) for cell in cells]
+
+    flats, obj, iters, violations = _best_of_restarts(
+        X, start, _nearest_flat, partial(_refit_cells, d=d), cfg, seed,
+        trace_sink)
     return FlatsModel(flats=flats, k=k, d=d, objective=obj, iterations=iters,
-                      seed=seed, descent_violations=total_violations)
+                      seed=seed, descent_violations=violations)
 
 
 def refit_residual(data: Dataset, model: FlatsModel) -> float:
     """Fixed-point certificate: objective change after one more assign+refit."""
     X = data.points
-    dist = _dist2_matrix(X, model.flats)
-    assign = np.argmin(dist, axis=1)
+    _, assign = _nearest_flat(X, model.flats)
     flats = [refit_cell(X[assign == j], model.d) if (assign == j).any()
              else model.flats[j] for j in range(model.k)]
     obj = fsum_mean(_dist2_matrix(X, flats).min(axis=1))

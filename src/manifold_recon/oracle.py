@@ -68,6 +68,27 @@ def partitions(n: int, k_max: int) -> Iterator[Tuple[int, ...]]:
     yield from rec(0)
 
 
+def _search(data: Dataset, k: int, d: int, group_cost):
+    """Smallest summed `group_cost(mask)` over the partitions into at most k
+    groups, each abandoned once its running sum reaches the best; returns
+    (that sum / n clamped at 0, the first partition attaining it)."""
+    _check_instance(data, k, d)
+    n = data.size
+    best_cost = math.inf
+    best_part = None
+    for part in partitions(n, k):
+        labels = np.asarray(part)
+        cost = 0.0
+        for g in range(labels.max() + 1):
+            cost += group_cost(labels == g)
+            if cost >= best_cost:
+                break
+        if cost < best_cost:
+            best_cost = cost
+            best_part = part
+    return max(best_cost, 0.0) / n, best_part
+
+
 def global_kmeans(data: Dataset, k: int):
     """Exact k-means optimum by partition enumeration.
 
@@ -75,44 +96,23 @@ def global_kmeans(data: Dataset, k: int):
     tuple. Deterministic and seed-free; allowing fewer than k non-empty
     groups covers degenerate optima.
     """
-    _check_instance(data, k)
     X = data.points
-    n = data.size
     sq = np.einsum("ij,ij->i", X, X)
-    best_cost = math.inf
-    best_part = None
-    for part in partitions(n, k):
-        labels = np.asarray(part)
-        cost = 0.0
-        for g in range(labels.max() + 1):
-            idx = labels == g
-            m = X[idx].mean(axis=0)
-            cost += float(sq[idx].sum() - idx.sum() * (m @ m))
-            if cost >= best_cost:
-                break
-        if cost < best_cost:
-            best_cost = cost
-            best_part = part
-    return max(best_cost, 0.0) / n, best_part
+
+    def cost(idx):
+        m = X[idx].mean(axis=0)
+        return float(sq[idx].sum() - idx.sum() * (m @ m))
+
+    return _search(data, k, 0, cost)
 
 
 def global_kflats(data: Dataset, k: int, d: int):
     """Exact k-flats optimum by partition enumeration with per-group PCA."""
-    _check_instance(data, k, d)
     X = data.points
-    n = data.size
-    best_cost = math.inf
-    best_part = None
-    for part in partitions(n, k):
-        labels = np.asarray(part)
-        cost = 0.0
-        for g in range(labels.max() + 1):
-            grp = X[labels == g]
-            f = refit_cell(grp, d)
-            cost += sum(flat_distance_sq(x, f) for x in grp)
-            if cost >= best_cost:
-                break
-        if cost < best_cost:
-            best_cost = cost
-            best_part = part
-    return max(best_cost, 0.0) / n, best_part
+
+    def cost(idx):
+        grp = X[idx]
+        f = refit_cell(grp, d)
+        return sum(flat_distance_sq(x, f) for x in grp)
+
+    return _search(data, k, d, cost)

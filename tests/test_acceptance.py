@@ -18,6 +18,7 @@ from manifold_recon.geometry import Dataset, ManifoldSpec, sample_sphere
 from manifold_recon.util import mix_seed
 
 mpmath.mp.dps = 40
+pytestmark = pytest.mark.acceptance
 
 S19 = ManifoldSpec(kind="sphere", intrinsic_dim=19, ambient_dim=20)
 S2 = ManifoldSpec(kind="sphere", intrinsic_dim=2, ambient_dim=3)

@@ -8,7 +8,7 @@ an override. Reported bounds should be read as "with surrogate constant".
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 from .errors import ParameterError
@@ -193,21 +193,7 @@ class BoundReport:
     inputs: BoundInputs
 
     def to_json_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "statistical": self.statistical,
-            "approximation": self.approximation,
-            "total": self.total,
-            "k_n": self.k_n,
-            "measured_gap": self.measured_gap,
-            "inputs": {
-                "n": self.inputs.n, "k": self.inputs.k, "d": self.inputs.d,
-                "delta": self.inputs.delta,
-                "density_norm": self.inputs.density_norm,
-                "curvature": self.inputs.curvature,
-                "C_d": self.inputs.C_d,
-            },
-        }
+        return asdict(self)
 
     def to_json(self, **kwargs) -> str:
         return json.dumps(self.to_json_dict(), **kwargs)

@@ -22,6 +22,7 @@ from .util import mix_seed
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_COMPUTE = 4
+_FIT = FitConfig()  # the fit flags' defaults
 
 
 class UsageError(Exception):
@@ -56,6 +57,16 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--threads", type=int, default=1)
         return sp
 
+    def experiment(name, help, kind, d, D, repeats):
+        sp = cmd(name, help=help)
+        sp.add_argument("--kind", choices=["sphere", "circle", "disk"], default=kind)
+        sp.add_argument("--d", type=int, default=d)
+        sp.add_argument("--D", type=int, default=D)
+        sp.add_argument("--repeats", type=int, default=repeats)
+        sp.add_argument("--holdout-size", type=int, default=100_000)
+        sp.add_argument("--restarts", type=int, default=_FIT.restarts)
+        return sp
+
     sp = cmd("sample", help="draw a synthetic dataset and write the container")
     sp.add_argument("--kind", choices=["sphere", "circle", "disk"], required=True)
     sp.add_argument("--d", type=int, required=True)
@@ -72,9 +83,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--k", type=int, required=True)
         if name == "fit-kflats":
             sp.add_argument("--d", type=int, required=True)
-        sp.add_argument("--restarts", type=int, default=20)
-        sp.add_argument("--max-iters", type=int, default=200)
-        sp.add_argument("--rel-tol", type=float, default=1e-10)
+        sp.add_argument("--restarts", type=int, default=_FIT.restarts)
+        sp.add_argument("--max-iters", type=int, default=_FIT.max_iters)
+        sp.add_argument("--rel-tol", type=float, default=_FIT.rel_tol)
 
     sp = cmd("bounds", help="closed-form bound decomposition for one (n, k)")
     sp.add_argument("--family", choices=["kmeans", "kflats"], default="kmeans")
@@ -93,43 +104,27 @@ def build_parser() -> argparse.ArgumentParser:
     sp = cmd("example1", help="two-sample 100-sphere tradeoff example")
     sp.add_argument("--holdout-size", type=int, default=100_000)
 
-    sp = cmd("tradeoff", help="hold-out error curves over a (n, k) grid")
-    sp.add_argument("--kind", choices=["sphere", "circle", "disk"], default="sphere")
-    sp.add_argument("--d", type=int, default=19)
-    sp.add_argument("--D", type=int, default=20)
+    sp = experiment("tradeoff", "hold-out error curves over a (n, k) grid",
+                    "sphere", 19, 20, 5)
     sp.add_argument("--algorithm", choices=list(harness.ALGORITHMS), default="kmeans")
     sp.add_argument("--train-sizes", type=_int_list, default=[50, 200, 1000, 5000])
     sp.add_argument("--k-grid", type=_k_grid, default=list(range(2, 41)),
                     help="comma list, lo:hi range, or 'auto'")
-    sp.add_argument("--repeats", type=int, default=5)
-    sp.add_argument("--holdout-size", type=int, default=100_000)
-    sp.add_argument("--restarts", type=int, default=20)
 
-    sp = cmd("rates", help="log-log convergence-rate fit along the balanced-k schedule")
-    sp.add_argument("--kind", choices=["sphere", "circle", "disk"], default="circle")
-    sp.add_argument("--d", type=int, default=1)
-    sp.add_argument("--D", type=int, default=2)
+    sp = experiment("rates", "log-log convergence-rate fit along the balanced-k schedule",
+                    "circle", 1, 2, 3)
     sp.add_argument("--schedule", choices=["kmeans", "kflats"], default="kmeans")
     sp.add_argument("--train-sizes", type=_int_list, default=[100, 1000, 10000, 100000])
-    sp.add_argument("--repeats", type=int, default=3)
-    sp.add_argument("--holdout-size", type=int, default=100_000)
-    sp.add_argument("--restarts", type=int, default=20)
 
-    sp = cmd("select-k", help="hold-out model selection of k")
-    sp.add_argument("--kind", choices=["sphere", "circle", "disk"], default="sphere")
-    sp.add_argument("--d", type=int, default=2)
-    sp.add_argument("--D", type=int, default=3)
+    sp = experiment("select-k", "hold-out model selection of k", "sphere", 2, 3, 5)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--k-grid", type=_k_grid, required=True)
-    sp.add_argument("--repeats", type=int, default=5)
-    sp.add_argument("--holdout-size", type=int, default=100_000)
-    sp.add_argument("--restarts", type=int, default=20)
 
     sp = cmd("oracle-check", help="best-of-restarts fit vs brute-force optimum")
     sp.add_argument("--n", type=int, default=8)
     sp.add_argument("--k", type=int, default=2)
     sp.add_argument("--trials", type=int, default=100)
-    sp.add_argument("--restarts", type=int, default=20)
+    sp.add_argument("--restarts", type=int, default=_FIT.restarts)
     return p
 
 
@@ -178,8 +173,8 @@ def _manifold(args) -> ManifoldSpec:
 
 
 def _fit_config(args) -> FitConfig:
-    return FitConfig(max_iters=getattr(args, "max_iters", 200),
-                     rel_tol=getattr(args, "rel_tol", 1e-10),
+    return FitConfig(max_iters=getattr(args, "max_iters", _FIT.max_iters),
+                     rel_tol=getattr(args, "rel_tol", _FIT.rel_tol),
                      restarts=args.restarts)
 
 
@@ -263,13 +258,17 @@ def _experiment_spec(args, k_grid) -> harness.ExperimentSpec:
         threads=args.threads)
 
 
+def _write_report(report: harness.ExperimentReport, out: Path) -> None:
+    report.write_csv(out / "report.csv")
+    report.write_json(out / "summary.json")
+    report.write_plot_files(out)
+
+
 def _cmd_tradeoff(args):
     spec = _experiment_spec(args, args.k_grid)
     report = harness.tradeoff_experiment(spec)
     out = _outdir(args)
-    report.write_csv(out / "report.csv")
-    report.write_json(out / "summary.json")
-    report.write_plot_files(out)
+    _write_report(report, out)
     print(f"tradeoff: {len(report.rows)} cells, "
           f"descent_violations={report.descent_violations} -> {out}")
 
@@ -278,20 +277,21 @@ def _cmd_rates(args):
     spec = _experiment_spec(args, "auto")
     report = harness.rate_experiment(spec, schedule=args.schedule)
     out = _outdir(args)
-    report.write_csv(out / "report.csv")
-    report.write_json(out / "summary.json")
-    report.write_plot_files(out)
+    _write_report(report, out)
     rf = report.rate_fit
     print(f"rates[{args.schedule}]: slope={rf.slope!r} residual={rf.residual!r} -> {out}")
 
 
 def _cmd_select_k(args):
     spec = _experiment_spec(args, args.k_grid)
-    k_star = harness.select_k(spec, n=args.n)
+    k_star, report = harness.select_k(spec, n=args.n)
     out = _outdir(args)
+    _write_report(report, out)
     _write_json(out / "selected_k.json",
-                {"k_star": k_star, "n": args.n, "k_grid": list(args.k_grid)})
-    print(f"select-k: k*={k_star}")
+                {"k_star": k_star, "n": args.n, "k_grid": list(args.k_grid),
+                 "descent_violations": report.descent_violations})
+    print(f"select-k: k*={k_star} "
+          f"descent_violations={report.descent_violations} -> {out}")
 
 
 def _cmd_oracle_check(args):

@@ -12,7 +12,7 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -28,6 +28,7 @@ from .util import fsum_mean, min_sqdist, mix_seed
 HOLDOUT_TAG = 0xB01D0071
 TRAIN_TAG = 0x7E57A11
 ALGORITHMS = ("kmeans", "kmeanspp-seed", "kflats")
+BOUND_DELTA = 0.05  # confidence parameter of the bound rows
 
 
 @dataclass(frozen=True)
@@ -41,7 +42,6 @@ class ExperimentSpec:
     repeats: int = 5
     base_seed: int = 0
     fit_config: FitConfig = field(default_factory=FitConfig)
-    delta: float = 0.05
     threads: int = 1
 
     def __post_init__(self):
@@ -85,20 +85,12 @@ class ExperimentReport:
                             repr(r["seconds"])])
 
     def to_json_dict(self) -> dict:
-        out = {
+        return {
             "rows": self.rows,
             "descent_violations": self.descent_violations,
-            "rate_fit": None,
+            "rate_fit": None if self.rate_fit is None else asdict(self.rate_fit),
             "bound_rows": [b.to_json_dict() for b in self.bound_rows],
         }
-        if self.rate_fit is not None:
-            out["rate_fit"] = {
-                "slope": self.rate_fit.slope,
-                "intercept": self.rate_fit.intercept,
-                "residual": self.rate_fit.residual,
-                "degenerate": self.rate_fit.degenerate,
-            }
-        return out
 
     def write_json(self, path) -> None:
         with open(path, "w") as fh:
@@ -106,11 +98,8 @@ class ExperimentReport:
 
     def curve(self, n: int) -> List[Tuple[int, float]]:
         """(k, mean hold-out error) pairs for one training size."""
-        by_k = {}
-        for r in self.rows:
-            if r["n"] == n:
-                by_k.setdefault(r["k"], []).append(r["holdout"])
-        return [(k, float(np.mean(v))) for k, v in sorted(by_k.items())]
+        return [(k, _mean(self.rows, "holdout", n=n, k=k))
+                for k in sorted({r["k"] for r in self.rows if r["n"] == n})]
 
     def write_plot_files(self, out_dir) -> List[Path]:
         """Plot-ready two-column text files: k vs mean hold-out error per n,
@@ -127,10 +116,16 @@ class ExperimentReport:
             p = out_dir / "loglog.tsv"
             with open(p, "w") as fh:
                 for n in sorted({r["n"] for r in self.rows}):
-                    errs = [r["holdout"] for r in self.rows if r["n"] == n]
-                    fh.write(f"{math.log(n)!r}\t{math.log(float(np.mean(errs)))!r}\n")
+                    err = _mean(self.rows, "holdout", n=n)
+                    fh.write(f"{math.log(n)!r}\t{math.log(err)!r}\n")
             written.append(p)
         return written
+
+
+def _mean(rows: Sequence[dict], key: str, **where) -> float:
+    """Mean of column `key` over the rows matching `where`, in row order."""
+    return float(np.mean([r[key] for r in rows
+                          if all(r[c] == v for c, v in where.items())]))
 
 
 def holdout_error(model, holdout: Dataset) -> float:
@@ -171,7 +166,7 @@ def example1(seed: int, holdout_size: int = 100_000) -> Tuple[float, float]:
 
 def _resolve_k_grid(spec: ExperimentSpec, n: int) -> List[int]:
     if not isinstance(spec.k_grid, str):
-        return list(spec.k_grid)
+        return list(dict.fromkeys(spec.k_grid))
     d = spec.manifold.intrinsic_dim
     if spec.algorithm == "kflats":
         kn = kn_kflats(n, d, spec.manifold.effective_curvature())
@@ -239,37 +234,29 @@ def _run_cells(spec: ExperimentSpec,
 
 def tradeoff_experiment(spec: ExperimentSpec) -> ExperimentReport:
     """Full (n, k, repeat) grid: sample train set, fit best-of-restarts,
-    evaluate on the shared hold-out sample."""
-    rows, violations = _run_cells(spec, [(n, k, rep)
-                                         for n in spec.train_sizes
-                                         for k in _resolve_k_grid(spec, n)
+    evaluate on the shared hold-out sample; one bound row per (n, k)."""
+    grid = [(n, k) for n in spec.train_sizes for k in _resolve_k_grid(spec, n)]
+    rows, violations = _run_cells(spec, [(n, k, rep) for n, k in grid
                                          for rep in range(spec.repeats)])
-    report = ExperimentReport(rows=rows, descent_violations=violations)
-    family = "kflats" if spec.algorithm == "kflats" else "kmeans"
-    d = spec.manifold.intrinsic_dim
-    for n in spec.train_sizes:
-        for k in _resolve_k_grid(spec, n):
-            inputs = BoundInputs(
-                n=n, k=k, d=d, delta=spec.delta,
-                density_norm=spec.manifold.effective_density_norm(),
-                curvature=spec.manifold.effective_curvature())
-            cell_rows = [r for r in rows if r["n"] == n and r["k"] == k]
-            emp = float(np.mean([r["empirical"] for r in cell_rows]))
-            hold = float(np.mean([r["holdout"] for r in cell_rows]))
-            report.bound_rows.append(decompose(emp, hold, inputs, family))
-    return report
+    m = spec.manifold
+    bound_rows = [decompose(
+        _mean(rows, "empirical", n=n, k=k), _mean(rows, "holdout", n=n, k=k),
+        BoundInputs(n=n, k=k, d=m.intrinsic_dim, delta=BOUND_DELTA,
+                    density_norm=m.effective_density_norm(),
+                    curvature=m.effective_curvature()),
+        "kflats" if spec.algorithm == "kflats" else "kmeans") for n, k in grid]
+    return ExperimentReport(rows=rows, bound_rows=bound_rows,
+                            descent_violations=violations)
 
 
-def select_k(spec: ExperimentSpec, n: Optional[int] = None) -> int:
-    """Hold-out model selection: argmin of validation error over k_grid,
-    ties resolved to the smallest k."""
+def select_k(spec: ExperimentSpec,
+             n: Optional[int] = None) -> Tuple[int, ExperimentReport]:
+    """Hold-out model selection at training size n (default the first): the
+    smallest k of least mean hold-out error, and the report of its grid."""
     if n is None:
         n = spec.train_sizes[0]
-    grid = list(dict.fromkeys(_resolve_k_grid(spec, n)))
-    rows, _ = _run_cells(spec, [(n, k, rep) for k in grid
-                                for rep in range(spec.repeats)])
-    return argmin_k({k: float(np.mean([r["holdout"] for r in rows if r["k"] == k]))
-                     for k in grid})
+    report = tradeoff_experiment(replace(spec, train_sizes=[n]))
+    return argmin_k(dict(report.curve(n))), report
 
 
 def argmin_k(errors: dict) -> int:
@@ -315,19 +302,10 @@ def rate_experiment(spec: ExperimentSpec, schedule: str | None = None) -> Experi
     if len(sizes) < 4 or sizes[-1] < 100 * sizes[0]:
         raise ParameterError(
             "rate fits need >= 4 training sizes spanning >= 2 decades")
-    d = spec.manifold.intrinsic_dim
-    if schedule == "kflats":
-        kap = spec.manifold.effective_curvature()
-        ks = {n: max(1, round(kn_kflats(n, d, kap))) for n in sizes}
-        algo = "kflats"
-    else:
-        dn = spec.manifold.effective_density_norm()
-        ks = {n: max(1, round(kn_kmeans(n, d, dn))) for n in sizes}
-        algo = spec.algorithm if spec.algorithm != "kflats" else "kmeans"
-    run_spec = replace(spec, algorithm=algo, k_grid=[1])  # grid replaced per n below
-    rows, violations = _run_cells(
-        run_spec, [(n, ks[n], rep) for n in sizes for rep in range(spec.repeats)])
-    mean_err = [float(np.mean([r["holdout"] for r in rows if r["n"] == n]))
-                for n in sizes]
-    return ExperimentReport(rows=rows, rate_fit=fit_loglog(sizes, mean_err),
-                            descent_violations=violations)
+    # the schedule's family, but kmeanspp-seed keeps itself on the k-means one
+    algo = schedule if "kflats" in (schedule, spec.algorithm) else spec.algorithm
+    report = tradeoff_experiment(replace(spec, algorithm=algo, k_grid="auto",
+                                         train_sizes=sizes))
+    report.rate_fit = fit_loglog(sizes, [_mean(report.rows, "holdout", n=n)
+                                         for n in sizes])
+    return report

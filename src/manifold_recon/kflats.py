@@ -210,8 +210,6 @@ def fit(data: Dataset, k: int, d: int, cfg: Optional[FitConfig] = None,
     objective decrease drops below cfg.rel_tol.
     """
     cfg = cfg or FitConfig()
-    if not (1 <= k <= data.size):
-        raise ParameterError(f"need 1 <= k <= n, got k={k}, n={data.size}")
     if not (0 <= d <= data.ambient_dim):
         raise ParameterError(
             f"need 0 <= d <= D, got d={d}, D={data.ambient_dim}")
@@ -236,5 +234,4 @@ def refit_residual(data: Dataset, model: FlatsModel) -> float:
     _, assign = _nearest_flat(X, model.flats)
     flats = [refit_cell(X[assign == j], model.d) if (assign == j).any()
              else model.flats[j] for j in range(model.k)]
-    obj = fsum_mean(_dist2_matrix(X, flats).min(axis=1))
-    return abs(obj - model.objective)
+    return abs(empirical_error(data, flats) - model.objective)

@@ -123,6 +123,24 @@ def test_select_k_artifact(tmp_path):
     # on a circle even k=50 centers generalize, so the largest k wins
     assert payload["k_star"] == 50
     assert payload["k_grid"] == [1, 3, 50]
+    assert payload["descent_violations"] == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert len(summary["rows"]) == 6
+    assert [b["inputs"]["k"] for b in summary["bound_rows"]] == [1, 3, 50]
+    assert (out / "report.csv").exists()
+    assert (out / "curve_n60.tsv").exists()
+
+
+def test_rates_artifacts(tmp_path):
+    out = tmp_path / "o"
+    assert run("rates", "--train-sizes", "50,200,1000,5000", "--repeats", "1",
+               "--holdout-size", "1000", "--restarts", "3",
+               "--out", str(out)) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert len(summary["rows"]) == 4
+    assert summary["rate_fit"]["slope"] < 0.0
+    assert [b["inputs"]["n"] for b in summary["bound_rows"]] == [50, 200, 1000, 5000]
+    assert len((out / "loglog.tsv").read_text().splitlines()) == 4
 
 
 def test_oracle_check_artifact(tmp_path):

@@ -130,9 +130,17 @@ def test_kflats_algorithm_runs_and_wins_on_circle():
 def test_select_k_matches_measured_curve():
     spec = small_spec(manifold=SPHERE2, train_sizes=[30], k_grid=[1, 4, 12],
                       repeats=3, holdout_size=2000)
-    k = harness.select_k(spec)
+    k, report = harness.select_k(spec)
     rep = harness.tradeoff_experiment(spec)
     assert k == harness.argmin_k(dict(rep.curve(30)))
+    assert report.curve(30) == rep.curve(30)
+    assert len(report.bound_rows) == 3
+
+
+def test_explicit_grid_runs_each_k_once():
+    rep = harness.tradeoff_experiment(small_spec(k_grid=[1, 1, 2]))
+    assert [(r["k"], r["repeat"]) for r in rep.rows] == [(1, 0), (1, 1), (2, 0), (2, 1)]
+    assert [b.inputs.k for b in rep.bound_rows] == [1, 2]
 
 
 def test_argmin_k_tie_breaks_to_smallest():
@@ -180,6 +188,26 @@ def test_rate_experiment_small_run():
     assert rep.rate_fit.slope < 0.0
     assert len(rep.rows) == 4
     assert rep.descent_violations == 0
+    assert [b.inputs.n for b in rep.bound_rows] == [50, 200, 1000, 5000]
+    assert [b.inputs.k for b in rep.bound_rows] == [r["k"] for r in rep.rows]
+
+
+def without_seconds(rows):
+    return [{key: v for key, v in r.items() if key != "seconds"} for r in rows]
+
+
+@pytest.mark.parametrize("schedule", ["kmeans", "kflats"])
+def test_rate_experiment_is_the_auto_grid(schedule):
+    # rate sizes are sorted, and the schedule picks the algorithm
+    sizes = [50, 200, 1000, 5000]
+    spec = small_spec(train_sizes=sizes[::-1], k_grid=[2], repeats=2)
+    rep = harness.rate_experiment(spec, schedule=schedule)
+    auto = harness.tradeoff_experiment(replace(
+        spec, k_grid="auto", train_sizes=sizes, algorithm=schedule))
+    assert without_seconds(rep.rows) == without_seconds(auto.rows)
+    assert rep.bound_rows == auto.bound_rows
+    assert rep.rate_fit == harness.fit_loglog(
+        sizes, [auto.curve(n)[0][1] for n in sizes])
 
 
 def test_rates_and_select_k_honour_threads(monkeypatch):
@@ -192,9 +220,6 @@ def test_rates_and_select_k_honour_threads(monkeypatch):
 
     monkeypatch.setattr(harness, "ThreadPoolExecutor", RecordingPool)
 
-    def without_seconds(rows):
-        return [{key: v for key, v in r.items() if key != "seconds"} for r in rows]
-
     spec = small_spec(train_sizes=[50, 200, 1000, 5000], k_grid="auto", repeats=2)
     serial = harness.rate_experiment(spec)
     assert pools == []
@@ -205,8 +230,10 @@ def test_rates_and_select_k_honour_threads(monkeypatch):
 
     spec = small_spec(manifold=SPHERE2, train_sizes=[30], k_grid=[1, 4, 12],
                       repeats=3, holdout_size=2000)
-    k_serial = harness.select_k(spec)
-    assert harness.select_k(replace(spec, threads=2)) == k_serial
+    k_serial, serial = harness.select_k(spec)
+    k_threaded, threaded = harness.select_k(replace(spec, threads=2))
+    assert k_threaded == k_serial
+    assert without_seconds(threaded.rows) == without_seconds(serial.rows)
     assert pools == [2, 2]
 
 

@@ -38,8 +38,12 @@ def _k_grid(text: str):
         return "auto"
     if ":" in text:
         lo, hi = text.split(":")
-        return list(range(int(lo), int(hi) + 1))
-    return _int_list(text)
+        grid = list(range(int(lo), int(hi) + 1))
+    else:
+        grid = _int_list(text)
+    if not grid:
+        raise argparse.ArgumentTypeError(f"empty k grid {text!r}")
+    return grid
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -152,7 +156,10 @@ def _apply_config(parser, argv, args):
             for a in argv)
         if not explicit:
             if dest == "k_grid" and isinstance(value, str):
-                value = _k_grid(value)
+                try:
+                    value = _k_grid(value)
+                except (ValueError, argparse.ArgumentTypeError) as exc:
+                    raise UsageError(f"config k_grid: {exc}") from exc
             setattr(args, dest, value)
     return args
 
@@ -288,7 +295,8 @@ def _cmd_select_k(args):
     out = _outdir(args)
     _write_report(report, out)
     _write_json(out / "selected_k.json",
-                {"k_star": k_star, "n": args.n, "k_grid": list(args.k_grid),
+                {"k_star": k_star, "n": args.n,
+                 "k_grid": sorted({r["k"] for r in report.rows}),
                  "descent_violations": report.descent_violations})
     print(f"select-k: k*={k_star} "
           f"descent_violations={report.descent_violations} -> {out}")

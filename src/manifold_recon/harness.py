@@ -23,6 +23,7 @@ from .bounds import BoundInputs, BoundReport, decompose, kn_kflats, kn_kmeans
 from .errors import ParameterError
 from .geometry import Dataset, ManifoldSpec, sample_sphere
 from .kmeans import FitConfig
+# fsum_mean and min_sqdist: unused here, but perfbench/layers.py traces them
 from .util import fsum_mean, min_sqdist, mix_seed
 
 HOLDOUT_TAG = 0xB01D0071
@@ -130,14 +131,7 @@ def _mean(rows: Sequence[dict], key: str, **where) -> float:
 
 def holdout_error(model, holdout: Dataset) -> float:
     """Monte-Carlo estimate of the expected reconstruction error."""
-    if isinstance(model, kmeans.MeansModel):
-        if model.ambient_dim != holdout.ambient_dim:
-            raise ParameterError("ambient dim mismatch")
-        d2, _ = min_sqdist(holdout.points, model.centers)
-        return fsum_mean(d2)
-    if isinstance(model, kflats.FlatsModel):
-        return kflats.empirical_error(holdout, model)
-    raise ParameterError(f"unsupported model type {type(model).__name__}")
+    return kmeans.empirical_error(holdout, model)
 
 
 def example1(seed: int, holdout_size: int = 100_000) -> Tuple[float, float]:
@@ -156,12 +150,8 @@ def example1(seed: int, holdout_size: int = 100_000) -> Tuple[float, float]:
     pair = sample_sphere(100, 101, 2, mix_seed(seed, 1))
     x1, x2 = pair.points
     holdout = sample_sphere(100, 101, holdout_size, mix_seed(seed, 2))
-    m1 = kmeans.MeansModel(centers=(x1 + x2)[None, :] / 2.0, k=1,
-                           objective=kmeans.empirical_error(pair, (x1 + x2)[None, :] / 2.0),
-                           iterations=0, seed=seed)
-    m2 = kmeans.MeansModel(centers=pair.points, k=2, objective=0.0,
-                           iterations=0, seed=seed)
-    return holdout_error(m1, holdout), holdout_error(m2, holdout)
+    return (kmeans.empirical_error(holdout, (x1 + x2)[None, :] / 2.0),
+            kmeans.empirical_error(holdout, pair.points))
 
 
 def _resolve_k_grid(spec: ExperimentSpec, n: int) -> List[int]:
@@ -181,16 +171,13 @@ def _fit_cell(spec: ExperimentSpec, train: Dataset, k: int, seed: int):
     if spec.algorithm == "kflats":
         d = spec.flat_dim if spec.flat_dim is not None else spec.manifold.intrinsic_dim
         return kflats.fit(train, k, d, spec.fit_config, seed=seed)
-    # seeding-only: best of restarts by empirical error, no Lloyd descent
-    best = None
-    for r in range(spec.fit_config.restarts):
-        centers = kmeans.seed_kmeanspp(train, k, mix_seed(seed, r))
-        obj = kmeans.empirical_error(train, centers)
-        if best is None or obj < best[1]:
-            best = (centers, obj)
-    centers, obj = best
+    # seeding only: each run scores its k-means++ start, with no descent
+    centers, obj, iters, _ = kmeans._best_of_restarts(
+        lambda s: kmeans.seed_kmeanspp(train, k, s),
+        lambda c: (c, [kmeans.empirical_error(train, c)]),
+        spec.fit_config, seed, None)
     return kmeans.MeansModel(centers=centers, k=k, objective=obj,
-                             iterations=0, seed=seed)
+                             iterations=iters, seed=seed)
 
 
 def _run_cell(spec: ExperimentSpec, holdout: Dataset, n: int, k: int,
@@ -205,7 +192,7 @@ def _run_cell(spec: ExperimentSpec, holdout: Dataset, n: int, k: int,
         "empirical": model.objective,
         "holdout": holdout_error(model, holdout),
         "seconds": seconds,
-        "descent_violations": getattr(model, "descent_violations", 0),
+        "descent_violations": model.descent_violations,
     }
 
 
@@ -233,9 +220,11 @@ def _run_cells(spec: ExperimentSpec,
 
 
 def tradeoff_experiment(spec: ExperimentSpec) -> ExperimentReport:
-    """Full (n, k, repeat) grid: sample train set, fit best-of-restarts,
-    evaluate on the shared hold-out sample; one bound row per (n, k)."""
-    grid = [(n, k) for n in spec.train_sizes for k in _resolve_k_grid(spec, n)]
+    """Full (n, k, repeat) grid, each distinct n and k once: sample train
+    set, fit best-of-restarts, evaluate on the shared hold-out sample; one
+    bound row per (n, k)."""
+    grid = [(n, k) for n in dict.fromkeys(spec.train_sizes)
+            for k in _resolve_k_grid(spec, n)]
     rows, violations = _run_cells(spec, [(n, k, rep) for n, k in grid
                                          for rep in range(spec.repeats)])
     m = spec.manifold
@@ -290,7 +279,7 @@ def fit_loglog(ns: Sequence[float], errors: Sequence[float]) -> RateFit:
 def rate_experiment(spec: ExperimentSpec, schedule: str | None = None) -> ExperimentReport:
     """Hold-out error along the balanced-k schedule, with a log-log slope fit.
 
-    Requires at least 4 training sizes spanning at least two decades; the
+    Requires at least 4 distinct training sizes spanning two decades; the
     schedule picks k = max(1, round(k_n)) per training size.  By default the
     schedule matches ``spec.algorithm``.
     """
@@ -298,10 +287,10 @@ def rate_experiment(spec: ExperimentSpec, schedule: str | None = None) -> Experi
         schedule = "kflats" if spec.algorithm == "kflats" else "kmeans"
     if schedule not in ("kmeans", "kflats"):
         raise ParameterError("schedule must be 'kmeans' or 'kflats'")
-    sizes = sorted(spec.train_sizes)
+    sizes = sorted(set(spec.train_sizes))
     if len(sizes) < 4 or sizes[-1] < 100 * sizes[0]:
         raise ParameterError(
-            "rate fits need >= 4 training sizes spanning >= 2 decades")
+            "rate fits need >= 4 distinct training sizes spanning >= 2 decades")
     # the schedule's family, but kmeanspp-seed keeps itself on the k-means one
     algo = schedule if "kflats" in (schedule, spec.algorithm) else spec.algorithm
     report = tradeoff_experiment(replace(spec, algorithm=algo, k_grid="auto",

@@ -3,15 +3,15 @@
 Each cell is refit by d-truncated PCA (offset = cell mean, basis = top-d
 principal directions); points are assigned to the flat with the smallest
 squared residual. Rank-deficient cells get explicit zero basis columns
-flagged degenerate, so the alternation is total. The alternation and the
-restarts are the k-means engine (kmeans._best_of_restarts); k-flats
-supplies the argmin of `_dist2_matrix` as the assignment, per-cell
-`refit_cell` as the update, and as the start the PCA of the Voronoi cells
-of k-means++ point seeds.
+flagged degenerate, so the alternation is total. The model protocol, the
+evaluator (`empirical_error`), the alternation and the restarts are those of
+k-means; k-flats supplies `_nearest_flat`, the argmin of `_dist2_matrix`, as
+the assignment, per-cell `refit_cell` as the update, and as the start the
+PCA of the Voronoi cells of k-means++ point seeds.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Optional
 
@@ -19,7 +19,9 @@ import numpy as np
 
 from .errors import ParameterError
 from .geometry import Dataset
-from .kmeans import FitConfig, _best_of_restarts, seed_kmeanspp
+from .kmeans import (FitConfig, _best_of_restarts, _descend, empirical_error,
+                     seed_kmeanspp)
+# fsum_mean is unused here, but perfbench/layers.py traces it by this name
 from .util import fsum_mean, min_sqdist
 
 # Eigen-solver contract, enforced by the refit_cell tests: basis vectors
@@ -91,6 +93,10 @@ class FlatsModel:
     @property
     def ambient_dim(self) -> int:
         return self.flats[0].ambient_dim
+
+    def nearest(self, X: np.ndarray):
+        """(d2, assign) against the nearest flat, ties to the lowest index."""
+        return _nearest_flat(X, self.flats)
 
     def to_json_dict(self) -> dict:
         return {
@@ -191,14 +197,6 @@ def _refit_cells(X: np.ndarray, assign: np.ndarray, counts: np.ndarray,
     return [refit_cell(X[assign == j], d) for j in range(counts.size)]
 
 
-def empirical_error(data: Dataset, model) -> float:
-    """Mean squared residual against the nearest flat."""
-    flats = model.flats if isinstance(model, FlatsModel) else tuple(model)
-    if flats[0].ambient_dim != data.ambient_dim:
-        raise ParameterError("ambient dim mismatch between data and flats")
-    return fsum_mean(_dist2_matrix(data.points, flats).min(axis=1))
-
-
 def fit(data: Dataset, k: int, d: int, cfg: Optional[FitConfig] = None,
         seed: int = 0, trace_sink: Optional[list] = None) -> FlatsModel:
     """Best-of-restarts k-flats.
@@ -210,9 +208,6 @@ def fit(data: Dataset, k: int, d: int, cfg: Optional[FitConfig] = None,
     objective decrease drops below cfg.rel_tol.
     """
     cfg = cfg or FitConfig()
-    if not (0 <= d <= data.ambient_dim):
-        raise ParameterError(
-            f"need 0 <= d <= D, got d={d}, D={data.ambient_dim}")
     X = data.points
 
     def start(s):
@@ -222,16 +217,19 @@ def fit(data: Dataset, k: int, d: int, cfg: Optional[FitConfig] = None,
         return [refit_cell(cell if len(cell) else far, d) for cell in cells]
 
     flats, obj, iters, violations = _best_of_restarts(
-        X, start, _nearest_flat, partial(_refit_cells, d=d), cfg, seed,
-        trace_sink)
+        start, lambda f: _descend(X, f, _nearest_flat,
+                                  partial(_refit_cells, d=d), cfg),
+        cfg, seed, trace_sink)
     return FlatsModel(flats=flats, k=k, d=d, objective=obj, iterations=iters,
                       seed=seed, descent_violations=violations)
 
 
 def refit_residual(data: Dataset, model: FlatsModel) -> float:
-    """Fixed-point certificate: objective change after one more assign+refit."""
-    X = data.points
-    _, assign = _nearest_flat(X, model.flats)
-    flats = [refit_cell(X[assign == j], model.d) if (assign == j).any()
-             else model.flats[j] for j in range(model.k)]
-    return abs(empirical_error(data, flats) - model.objective)
+    """Fixed-point certificate: objective change after one more assign+refit
+    (a cell that the assignment leaves empty keeps its flat)."""
+    _, assign = model.nearest(data.points)
+    live, cell = np.unique(assign, return_inverse=True)
+    flats = list(model.flats)
+    for j, f in zip(live, _refit_cells(data.points, cell, np.bincount(cell), model.d)):
+        flats[j] = f
+    return abs(empirical_error(data, replace(model, flats=flats)) - model.objective)

@@ -2,11 +2,12 @@
 
 Minimizes the empirical reconstruction error (mean squared distance of each
 training point to its nearest center) over sets of k points. k-means is
-k-flats with d = 0: `_descend` runs one alternation for either family (ties
-go to the lowest index; an empty cell takes the point farthest from its
-current member), and `_best_of_restarts` keeps the best of `restarts` runs.
-k-means supplies `min_sqdist` as the assignment, `_cell_means` as the
-update and the k-means++ centres themselves as the start.
+k-flats with d = 0: models of both families give (d2, assign) against the
+nearest member by `nearest(X)`, which `empirical_error` scores. `_descend`
+runs either family's alternation (an empty cell takes the farthest point);
+`_best_of_restarts` reads the best run's objective and passes, and all
+descent violations, off the traces. k-means supplies `min_sqdist`,
+`_cell_means` and the k-means++ centres as assignment, update and start.
 """
 
 import json
@@ -68,6 +69,10 @@ class MeansModel:
     def ambient_dim(self) -> int:
         return self.centers.shape[1]
 
+    def nearest(self, X: np.ndarray):
+        """(d2, assign) against the nearest center, ties to the lowest index."""
+        return min_sqdist(X, self.centers)
+
     def to_json_dict(self) -> dict:
         return {
             "k": self.k,
@@ -90,16 +95,19 @@ class MeansModel:
 
 
 def empirical_error(data: Dataset, model) -> float:
-    """Mean squared distance from each point to its nearest center.
-
-    `model` may be a MeansModel or a raw (k, D) center array.
-    """
-    centers = model.centers if isinstance(model, MeansModel) else np.asarray(model)
-    if centers.shape[1] != data.ambient_dim:
+    """Mean squared distance from each point to its nearest center or flat:
+    `model` is a MeansModel, a FlatsModel or a raw (k, D) center array."""
+    if hasattr(model, "nearest"):
+        D, nearest = model.ambient_dim, model.nearest
+    else:
+        centers = np.asarray(model)
+        if centers.ndim != 2:
+            raise ParameterError(f"unsupported model type {type(model).__name__}")
+        D, nearest = centers.shape[1], lambda X: min_sqdist(X, centers)
+    if D != data.ambient_dim:
         raise ParameterError(
-            f"ambient dim mismatch: data {data.ambient_dim}, centers {centers.shape[1]}")
-    d2, _ = min_sqdist(data.points, centers)
-    return fsum_mean(d2)
+            f"ambient dim mismatch: data {data.ambient_dim}, model {D}")
+    return fsum_mean(nearest(data.points)[0])
 
 
 def seed_kmeanspp(data: Dataset, k: int, seed: int) -> np.ndarray:
@@ -148,19 +156,14 @@ def _descend(X: np.ndarray, model, nearest, refit, cfg: FitConfig):
 
     `nearest(X, model)` gives (d2, assign) against the nearest member, ties
     to the lowest index; `refit(X, assign, counts)` refits all k cells, none
-    empty. Returns (model, objective, iterations, trace, violations). The
-    trace records the objective after every assignment pass plus the final
-    value for the returned model; it is non-increasing up to 1e-12 slack.
+    empty. Returns (model, trace): the objective after every assignment pass
+    plus the final value for the returned model, non-increasing up to 1e-12.
     """
-    k = len(model)
     prev_assign = None
-    prev_obj = np.inf
     trace: List[float] = []
-    violations = 0
-    it = 0
-    for it in range(1, cfg.max_iters + 1):
+    for _ in range(cfg.max_iters):
         d2, assign = nearest(X, model)
-        counts = np.bincount(assign, minlength=k)
+        counts = np.bincount(assign, minlength=len(model))
         empties = np.flatnonzero(counts == 0)
         if empties.size:
             # farthest-first donors; a donor must leave a non-empty cell
@@ -178,43 +181,34 @@ def _descend(X: np.ndarray, model, nearest, refit, cfg: FitConfig):
                 d2[far] = 0.0
         obj = fsum_mean(d2)
         trace.append(obj)
-        if obj > prev_obj + 1e-12:
-            violations += 1
         stable = prev_assign is not None and np.array_equal(assign, prev_assign)
         model = refit(X, assign, counts)
         if stable:
             break
-        if prev_obj < np.inf and prev_obj - obj <= cfg.rel_tol * max(prev_obj, 1e-300):
+        if len(trace) > 1 and trace[-2] - obj <= cfg.rel_tol * max(trace[-2], 1e-300):
             break
-        prev_obj = obj
         prev_assign = assign
-    final_obj = fsum_mean(nearest(X, model)[0])
-    trace.append(final_obj)
-    if final_obj > trace[-2] + 1e-12:
-        violations += 1
-    return model, final_obj, it, trace, violations
+    trace.append(fsum_mean(nearest(X, model)[0]))
+    return model, trace
 
 
-def _best_of_restarts(X: np.ndarray, start, nearest, refit, cfg: FitConfig,
-                      seed: int, trace_sink: Optional[list]):
-    """Run `_descend` from start(mix_seed(seed, r)) for each restart r.
+def _best_of_restarts(start, run, cfg: FitConfig, seed: int,
+                      trace_sink: Optional[list]):
+    """run(start(mix_seed(seed, r))) -> (model, trace) for each restart r.
 
-    Returns (model, objective, iterations) of the first run with the
-    smallest objective, plus the descent violations of all runs.
-    `trace_sink`, when given, receives each run's objective trace.
+    Returns the first run of least final objective as (model, objective,
+    passes), read off its trace, plus the descent violations of all runs:
+    rises above 1e-12 between consecutive trace entries. `trace_sink`, when
+    given, receives each run's trace.
     """
-    best = None
-    violations = 0
     # all starts first: interleaving them with the runs made small k-means
     # fits about 9 % slower
-    for model0 in [start(mix_seed(seed, r)) for r in range(cfg.restarts)]:
-        model, obj, iters, trace, viol = _descend(X, model0, nearest, refit, cfg)
-        violations += viol
-        if trace_sink is not None:
-            trace_sink.append(trace)
-        if best is None or obj < best[1]:
-            best = (model, obj, iters)
-    return (*best, violations)
+    runs = [run(m) for m in [start(mix_seed(seed, r)) for r in range(cfg.restarts)]]
+    if trace_sink is not None:
+        trace_sink.extend(trace for _, trace in runs)
+    model, trace = min(runs, key=lambda mt: mt[1][-1])  # the first of the least
+    return model, trace[-1], len(trace) - 1, sum(
+        b > a + 1e-12 for _, t in runs for a, b in zip(t, t[1:]))
 
 
 def fit(data: Dataset, k: int, cfg: Optional[FitConfig] = None, seed: int = 0,
@@ -228,8 +222,9 @@ def fit(data: Dataset, k: int, cfg: Optional[FitConfig] = None, seed: int = 0,
     """
     cfg = cfg or FitConfig()
     centers, obj, iters, violations = _best_of_restarts(
-        data.points, lambda s: seed_kmeanspp(data, k, s), min_sqdist,
-        _cell_means, cfg, seed, trace_sink)
+        lambda s: seed_kmeanspp(data, k, s),
+        lambda c: _descend(data.points, c, min_sqdist, _cell_means, cfg),
+        cfg, seed, trace_sink)
     return MeansModel(centers=centers, k=k, objective=obj, iterations=iters,
                       seed=seed, descent_violations=violations)
 
@@ -240,12 +235,7 @@ def center_of_mass_residual(data: Dataset, model: MeansModel) -> float:
     Local-optimality certificate: at a Lloyd fixed point this is ~0. Cells
     that are empty under the final assignment are skipped.
     """
-    X = data.points
-    _, assign = min_sqdist(X, model.centers)
-    worst = 0.0
-    for j in range(model.k):
-        cell = X[assign == j]
-        if cell.shape[0] == 0:
-            continue
-        worst = max(worst, float(np.max(np.abs(cell.mean(axis=0) - model.centers[j]))))
-    return worst
+    _, assign = model.nearest(data.points)
+    live, cell = np.unique(assign, return_inverse=True)
+    means = _cell_means(data.points, cell, np.bincount(cell))
+    return float(np.max(np.abs(means - model.centers[live])))

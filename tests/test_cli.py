@@ -1,6 +1,7 @@
 """Command-line interface: artifacts, exit codes, config merging."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -71,6 +72,43 @@ def test_bad_k_is_compute_error(tmp_path):
                "--k", "10", "--out", str(out)) == cli.EXIT_COMPUTE
 
 
+def _mrc1(n, D, values, extra=b""):
+    return (storage.MAGIC + struct.pack("<II", n, D)
+            + np.asarray(values, dtype="<f8").tobytes() + extra)
+
+
+BAD_FILES = {
+    "empty.mrc1": _mrc1(0, 2, []),
+    "nan.mrc1": _mrc1(2, 2, [0.0, 1.0, float("nan"), 0.5]),
+    "trailing.mrc1": _mrc1(2, 2, [0.0, 1.0, 0.5, 0.5], extra=b"\0"),
+    "empty.csv": b"",
+    "nan.csv": b"0.1,0.2\nnan,0.3\n",
+}
+
+
+@pytest.mark.parametrize("name", BAD_FILES)
+def test_bad_input_file_is_data_error(tmp_path, capsys, name):
+    path = tmp_path / name
+    path.write_bytes(BAD_FILES[name])
+    assert run("fit-kmeans", "--data", str(path), "--k", "1",
+               "--out", str(tmp_path / "o")) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and name in err
+    assert "Warning" not in err
+
+
+def test_empty_k_range_is_usage_error(tmp_path, capsys):
+    assert run("tradeoff", "--k-grid", "5:2", "--out", str(tmp_path)) == cli.EXIT_USAGE
+    assert "empty k grid" in capsys.readouterr().err
+
+
+def test_config_empty_k_range_is_usage_error(tmp_path):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"k_grid": "5:2"}))
+    assert run("--config", str(conf), "tradeoff",
+               "--out", str(tmp_path)) == cli.EXIT_USAGE
+
+
 def test_bounds_report(tmp_path):
     out = tmp_path / "o"
     assert run("bounds", "--preset", "sphere", "--d", "2", "--n", "2000",
@@ -131,6 +169,18 @@ def test_select_k_artifact(tmp_path):
     assert (out / "curve_n60.tsv").exists()
 
 
+def test_select_k_auto_lists_the_k_it_ran(tmp_path):
+    out = tmp_path / "o"
+    assert run("select-k", "--kind", "circle", "--d", "1", "--D", "2",
+               "--n", "60", "--k-grid", "auto", "--repeats", "1",
+               "--holdout-size", "1000", "--restarts", "2",
+               "--out", str(out)) == 0
+    payload = json.loads((out / "selected_k.json").read_text())
+    summary = json.loads((out / "summary.json").read_text())
+    assert payload["k_grid"] == [summary["rows"][0]["k"]]
+    assert payload["k_star"] == summary["rows"][0]["k"]
+
+
 def test_rates_artifacts(tmp_path):
     out = tmp_path / "o"
     assert run("rates", "--train-sizes", "50,200,1000,5000", "--repeats", "1",
@@ -188,7 +238,6 @@ def test_config_missing_file_is_data_error(tmp_path):
 
 
 def test_import_mnist(tmp_path):
-    import struct
     imgs = np.zeros((4, 28, 28), dtype=np.uint8)
     imgs[:, 0, 0] = 200
     idx = tmp_path / "images.idx3-ubyte"

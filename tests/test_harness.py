@@ -120,6 +120,22 @@ def test_seed_only_algorithm_is_worse_than_lloyd():
     assert (dict(lloyd.curve(200))[4] <= dict(seed_only.curve(200))[4] + 1e-12)
 
 
+def test_seed_only_frozen_bits():
+    # the seeding-only path bit for bit: per cell, the best of 3 scored
+    # k-means++ starts, with no descent
+    rep = harness.tradeoff_experiment(small_spec(
+        manifold=SPHERE2, train_sizes=[60], k_grid=[1, 4],
+        algorithm="kmeanspp-seed"))
+    assert [(r["k"], r["empirical"].hex(), r["holdout"].hex())
+            for r in rep.rows] == [
+        (1, "0x1.aac64695f0ff3p+0", "0x1.00c7c189abab9p+1"),
+        (1, "0x1.c1b49897b7ac7p+0", "0x1.0bf104eaf91afp+1"),
+        (4, "0x1.124f9d0d46000p-1", "0x1.47c60df561512p-1"),
+        (4, "0x1.e789ec6d6f47bp-2", "0x1.28157f35cbeb8p-1"),
+    ]
+    assert rep.descent_violations == 0
+
+
 def test_kflats_algorithm_runs_and_wins_on_circle():
     km_rep = harness.tradeoff_experiment(small_spec(train_sizes=[300], k_grid=[3]))
     kf_rep = harness.tradeoff_experiment(
@@ -141,6 +157,13 @@ def test_explicit_grid_runs_each_k_once():
     rep = harness.tradeoff_experiment(small_spec(k_grid=[1, 1, 2]))
     assert [(r["k"], r["repeat"]) for r in rep.rows] == [(1, 0), (1, 1), (2, 0), (2, 1)]
     assert [b.inputs.k for b in rep.bound_rows] == [1, 2]
+
+
+def test_repeated_training_size_runs_once():
+    rep = harness.tradeoff_experiment(
+        small_spec(train_sizes=[40, 40], k_grid=[1, 2], repeats=1))
+    assert [(r["n"], r["k"]) for r in rep.rows] == [(40, 1), (40, 2)]
+    assert [(b.inputs.n, b.inputs.k) for b in rep.bound_rows] == [(40, 1), (40, 2)]
 
 
 def test_argmin_k_tie_breaks_to_smallest():
@@ -178,6 +201,9 @@ def test_rate_experiment_validation():
     with pytest.raises(ParameterError):
         harness.rate_experiment(small_spec(train_sizes=[100, 1000, 5000, 10001]),
                                 schedule="median")
+    with pytest.raises(ParameterError, match="distinct"):
+        harness.rate_experiment(  # 3 distinct sizes
+            small_spec(train_sizes=[100, 100, 1000, 10_000]))
 
 
 def test_rate_experiment_small_run():

@@ -15,6 +15,7 @@ from manifold_recon import kflats as kf
 from manifold_recon import kmeans as km
 from manifold_recon.errors import ParameterError
 from manifold_recon.geometry import Dataset, ManifoldSpec, sample_sphere
+from manifold_recon.util import mix_seed
 
 finite_clouds = arrays(
     np.float64, st.tuples(st.integers(2, 25), st.integers(1, 4)),
@@ -83,8 +84,9 @@ def test_empty_cell_reseeded_at_farthest_point(family):
         start = ([kf.refit_cell(X[:3], 1), far], kf._nearest_flat,
                  partial(kf._refit_cells, d=1))
         want = 0.0
-    model, obj, _, trace, viol = km._descend(X, *start, km.FitConfig())
-    assert viol == 0
+    model, trace = km._descend(X, *start, km.FitConfig())
+    assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
+    obj = trace[-1]
     assert trace[0] == obj
     assert any(np.array_equal(getattr(m, "offset", m), X[3]) for m in model)
     assert abs(obj - want) < 1e-12
@@ -110,6 +112,36 @@ def test_fits_frozen_bits():
         ("0x1.88c11311bc094p-4", 9),
         ("0x1.a24da1c9db554p-7", 5),
     ]
+
+
+def test_best_of_restarts_reads_the_traces():
+    # restarts 1 and 2 tie on the least final objective: the first wins,
+    # its passes are len(trace) - 1, and the rise 2.0 -> 2.5 of restart 0
+    # is the one descent violation
+    traces = iter([[3.0, 2.0, 2.5, 2.0], [3.0, 1.0, 1.0], [2.0, 1.0]])
+    sink = []
+    model, obj, iters, viol = km._best_of_restarts(
+        lambda s: s, lambda m: (m, next(traces)), km.FitConfig(restarts=3),
+        7, sink)
+    assert (model, obj, iters, viol) == (mix_seed(7, 1), 1.0, 2, 1)
+    assert sink == [[3.0, 2.0, 2.5, 2.0], [3.0, 1.0, 1.0], [2.0, 1.0]]
+
+
+@pytest.mark.parametrize("family", ["kmeans", "kflats"])
+def test_fit_counts_match_the_traces(family):
+    ds = sample_sphere(d=2, D=3, n=300, seed=12)
+    cfg = km.FitConfig(restarts=6, max_iters=4)
+    traces = []
+    if family == "kmeans":
+        m = km.fit(ds, 7, cfg, seed=12, trace_sink=traces)
+    else:
+        m = kf.fit(ds, 5, 1, cfg, seed=12, trace_sink=traces)
+    best = min(traces, key=lambda t: t[-1])
+    assert len(traces) == 6
+    assert m.objective == best[-1]
+    assert m.iterations == len(best) - 1
+    assert m.descent_violations == sum(
+        b > a + 1e-12 for t in traces for a, b in zip(t, t[1:]))
 
 
 def test_descent_trace_non_increasing():

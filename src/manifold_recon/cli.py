@@ -2,8 +2,10 @@
 
 Thin adapter over the library: every result is byte-identical to calling
 the corresponding function with the same parameters and seed. Randomized
-commands default to seed 0, never wall-clock seeding. Exit codes: 0 ok,
-2 usage, 3 data/file, 4 computation.
+commands default to seed 0, never wall-clock seeding. The keys of a
+`--config` JSON file become `--key=value` flags right after the command
+name, so argparse types them and the flags typed after them win. Exit
+codes: 0 ok, 2 usage, 3 data/file, 4 computation.
 """
 
 import argparse
@@ -25,12 +27,11 @@ EXIT_COMPUTE = 4
 _FIT = FitConfig()  # the fit flags' defaults
 
 
-class UsageError(Exception):
-    pass
-
-
 def _int_list(text: str):
-    return [int(v) for v in text.split(",") if v.strip() != ""]
+    values = [int(v) for v in text.split(",") if v.strip() != ""]
+    if not values:
+        raise argparse.ArgumentTypeError(f"empty list {text!r}")
+    return values
 
 
 def _k_grid(text: str):
@@ -52,13 +53,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Piecewise-constant / piecewise-linear manifold "
                     "reconstruction: fits, bounds, and experiments.")
     p.add_argument("--config", help="JSON config file; flags override its keys")
-    sub = p.add_subparsers(dest="command", metavar="command")
+    sub = p.add_subparsers(dest="command", metavar="command", required=True)
 
     def cmd(name, **kwargs):
         sp = sub.add_parser(name, **kwargs)
         sp.add_argument("--out", default="out", help="output directory")
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--threads", type=int, default=1)
         return sp
 
     def experiment(name, help, kind, d, D, repeats):
@@ -69,6 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--repeats", type=int, default=repeats)
         sp.add_argument("--holdout-size", type=int, default=100_000)
         sp.add_argument("--restarts", type=int, default=_FIT.restarts)
+        sp.add_argument("--threads", type=int, default=1)
         return sp
 
     sp = cmd("sample", help="draw a synthetic dataset and write the container")
@@ -132,38 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _apply_config(parser, argv, args):
-    """Merge a JSON config under the explicit flags (flags win)."""
-    if not args.config:
-        return args
-    try:
-        with open(args.config) as fh:
-            conf = json.load(fh)
-    except FileNotFoundError as exc:
-        raise DataFormatError(f"config file not found: {args.config}") from exc
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(conf, dict):
-        raise UsageError("config must be a JSON object")
-    known = set(vars(args))
-    for key, value in conf.items():
-        dest = key.replace("-", "_")
-        if dest not in known:
-            raise UsageError(f"unknown config key: {key!r}")
-        explicit = any(
-            a == f"--{key}" or a.startswith(f"--{key}=") or
-            a == f"--{dest}" or a.startswith(f"--{dest}=")
-            for a in argv)
-        if not explicit:
-            if dest == "k_grid" and isinstance(value, str):
-                try:
-                    value = _k_grid(value)
-                except (ValueError, argparse.ArgumentTypeError) as exc:
-                    raise UsageError(f"config k_grid: {exc}") from exc
-            setattr(args, dest, value)
-    return args
-
-
 def _outdir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -220,21 +189,17 @@ def _cmd_fit_kflats(args):
 
 
 def _cmd_bounds(args):
-    density_norm, curvature = args.density_norm, args.curvature
-    if args.preset == "sphere":
-        spec = ManifoldSpec("circle" if args.d == 1 else "sphere",
-                            args.d, args.d + 1)
-        density_norm = density_norm or spec.effective_density_norm()
-        curvature = curvature if curvature is not None else spec.effective_curvature()
-    elif args.preset == "disk":
-        spec = ManifoldSpec("disk", args.d, args.d)
-        density_norm = density_norm or spec.effective_density_norm()
-        curvature = curvature if curvature is not None else 0.0
-    if density_norm is None:
+    density_norm, curvature = args.density_norm, args.curvature or 0.0
+    if args.preset:
+        D = args.d + 1 if args.preset == "sphere" else args.d
+        spec = ManifoldSpec(args.preset, args.d, D, args.density_norm, args.curvature)
+        density_norm = spec.effective_density_norm()
+        curvature = spec.effective_curvature()
+    elif density_norm is None:
         density_norm = bounds.holder_density_bound(args.d)
     inputs = bounds.BoundInputs(n=args.n, k=args.k, d=args.d, delta=args.delta,
                                 density_norm=density_norm,
-                                curvature=curvature or 0.0, C_d=args.c_d)
+                                curvature=curvature, C_d=args.c_d)
     report = bounds.decompose(args.empirical, args.holdout, inputs, args.family)
     out = _outdir(args)
     path = out / "bound_report.json"
@@ -338,23 +303,39 @@ _HANDLERS = {
 }
 
 
+def _config_flags(parser, path):
+    """The JSON object in `path` as `--key=value` flags: `_` in a key becomes
+    `-`, a list joins with commas, any other value goes through `str`."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            conf = json.load(fh)
+    except FileNotFoundError as exc:
+        raise DataFormatError(f"config file not found: {path}") from exc
+    except ValueError as exc:  # bad JSON or bad UTF-8
+        parser.error(f"config is not valid JSON: {exc}")
+    if not isinstance(conf, dict):
+        parser.error("config must be a JSON object")
+    return [f"--{key.replace('_', '-')}="
+            + (",".join(map(str, v)) if isinstance(v, list) else str(v))
+            for key, v in conf.items()]
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
+    # --config is read only before the command; its flags go right after
+    # the command name, so the flags typed after them win
+    at = next((i for i, a in enumerate(argv) if a in _HANDLERS), len(argv))
+    pre = argparse.ArgumentParser(prog=parser.prog, add_help=False)
+    pre.add_argument("--config")
     try:
+        config = pre.parse_known_args(argv[:at])[0].config
+        argv[at + 1:at + 1] = _config_flags(parser, config) if config else []
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    if not args.command:
-        parser.print_usage(sys.stderr)
-        return EXIT_USAGE
-    try:
-        args = _apply_config(parser, argv, args)
         _HANDLERS[args.command](args)
         return 0
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except SystemExit as exc:
+        return int(exc.code or 0)
     except (DataFormatError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -115,6 +115,9 @@ def load_mnist(images_path, limit: Optional[int] = None) -> Dataset:
     if rows != 28 or cols != 28:
         raise DataFormatError(
             f"image dims {rows}x{cols}, expected 28x28 (offset 8)")
+    if count < 1:
+        raise DataFormatError(
+            f"{images_path}: item count {count}, need at least 1 (offset 4)")
     take = count if limit is None else min(limit, count)
     if take < 1:
         raise ParameterError("limit leaves no images to read")
@@ -143,14 +146,13 @@ def sphere_surface_volume(d: int) -> float:
 class ManifoldSpec:
     """Which manifold to sample, plus the scalars the bound formulas need.
 
-    kind: "sphere" (unit d-sphere in R^D), "circle" (d=1 sphere), "disk"
-    (flat unit d-ball, zero curvature), or "custom" (no sampler; scalars
-    must be supplied by the caller).
+    kind: "sphere" (unit d-sphere in R^D), "circle" (d=1 sphere), or
+    "disk" (flat unit d-ball, zero curvature).
 
     density_norm is the integral of p^{d/(d+2)} over the manifold;
     curvature is the total-root-curvature scalar for hypersurfaces (or a
     user-supplied total curvature in higher codimension). When omitted,
-    uniform-density defaults are filled in for the built-in manifolds.
+    uniform-density defaults are filled in.
     """
 
     kind: str
@@ -160,7 +162,7 @@ class ManifoldSpec:
     curvature: Optional[float] = None
 
     def __post_init__(self):
-        if self.kind not in ("sphere", "circle", "disk", "custom"):
+        if self.kind not in ("sphere", "circle", "disk"):
             raise ParameterError(f"unknown manifold kind {self.kind!r}")
         d, D = self.intrinsic_dim, self.ambient_dim
         if self.kind == "circle" and d != 1:
@@ -177,29 +179,20 @@ class ManifoldSpec:
     def sample(self, n: int, seed: int) -> Dataset:
         if self.kind in ("sphere", "circle"):
             return sample_sphere(self.intrinsic_dim, self.ambient_dim, n, seed)
-        if self.kind == "disk":
-            return sample_flat_disk(self.intrinsic_dim, self.ambient_dim, n, seed)
-        raise ParameterError("custom manifolds provide no sampler")
+        return sample_flat_disk(self.intrinsic_dim, self.ambient_dim, n, seed)
 
     def effective_density_norm(self) -> float:
         """density_norm, defaulting to Vol(M)^{2/(d+2)} for uniform density."""
         if self.density_norm is not None:
             return self.density_norm
         d = self.intrinsic_dim
-        if self.kind in ("sphere", "circle"):
-            vol = sphere_surface_volume(d)
-        elif self.kind == "disk":
-            vol = unit_ball_volume(d)
-        else:
-            raise ParameterError("custom manifolds need an explicit density_norm")
+        vol = unit_ball_volume(d) if self.kind == "disk" else sphere_surface_volume(d)
         return vol ** (2.0 / (d + 2.0))
 
     def effective_curvature(self) -> float:
         """Total root curvature, defaulting to Vol(S^d) for spheres, 0 for disks."""
         if self.curvature is not None:
             return self.curvature
-        if self.kind in ("sphere", "circle"):
-            return sphere_surface_volume(self.intrinsic_dim)
         if self.kind == "disk":
             return 0.0
-        raise ParameterError("custom manifolds need an explicit curvature")
+        return sphere_surface_volume(self.intrinsic_dim)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from manifold_recon import cli, storage
+from manifold_recon.geometry import ManifoldSpec
 from manifold_recon.kmeans import MeansModel
 
 
@@ -97,6 +98,12 @@ def test_bad_input_file_is_data_error(tmp_path, capsys, name):
     assert "Warning" not in err
 
 
+@pytest.mark.parametrize("command", ["tradeoff", "rates"])
+def test_empty_train_sizes_is_usage_error(tmp_path, capsys, command):
+    assert run(command, "--train-sizes", ",", "--out", str(tmp_path)) == cli.EXIT_USAGE
+    assert "argument --train-sizes:" in capsys.readouterr().err
+
+
 def test_empty_k_range_is_usage_error(tmp_path, capsys):
     assert run("tradeoff", "--k-grid", "5:2", "--out", str(tmp_path)) == cli.EXIT_USAGE
     assert "empty k grid" in capsys.readouterr().err
@@ -119,6 +126,24 @@ def test_bounds_report(tmp_path):
     assert rep["inputs"]["n"] == 2000
     from manifold_recon import bounds
     assert rep["statistical"] == bounds.stat_kmeans(2000, 8, 0.05)
+    # the presets are ManifoldSpec's uniform-density values
+    for preset, D in (("sphere", 3), ("disk", 2)):
+        assert run("bounds", "--preset", preset, "--d", "2", "--n", "2000",
+                   "--k", "8", "--out", str(out)) == 0
+        rep = json.loads((out / "bound_report.json").read_text())
+        spec = ManifoldSpec(preset, 2, D)
+        want = bounds.decompose(0.0, 0.0, bounds.BoundInputs(
+            n=2000, k=8, d=2, delta=0.05,
+            density_norm=spec.effective_density_norm(),
+            curvature=spec.effective_curvature())).to_json_dict()
+        for key in ("statistical", "approximation", "k_n", "inputs"):
+            assert rep[key] == want[key]
+
+
+def test_bounds_preset_rejects_zero_density_norm(tmp_path):
+    assert run("bounds", "--preset", "sphere", "--d", "2", "--n", "100",
+               "--k", "2", "--density-norm", "0",
+               "--out", str(tmp_path)) == cli.EXIT_COMPUTE
 
 
 def test_bounds_bad_delta_is_compute_error(tmp_path):
@@ -231,10 +256,99 @@ def test_config_invalid_json_is_usage_error(tmp_path):
                "--out", str(tmp_path)) == cli.EXIT_USAGE
 
 
+def test_config_not_utf8_is_usage_error(tmp_path, capsys):
+    conf = tmp_path / "conf.json"
+    conf.write_bytes(b'{"n": "\xff"}')
+    assert run("--config", str(conf), "sample", "--kind", "circle",
+               "--d", "1", "--D", "2", "--out", str(tmp_path)) == cli.EXIT_USAGE
+    assert "not valid JSON" in capsys.readouterr().err
+
+
 def test_config_missing_file_is_data_error(tmp_path):
     assert run("--config", str(tmp_path / "none.json"), "sample",
                "--kind", "circle", "--d", "1", "--D", "2", "--n", "5",
                "--out", str(tmp_path)) == cli.EXIT_DATA
+
+
+SAMPLE = ["sample", "--kind", "circle", "--d", "1", "--D", "2", "--n", "20"]
+FIT = ["fit-kmeans", "--data", "{data}", "--k", "3"]
+TRADEOFF = ["tradeoff", "--kind", "circle", "--d", "1", "--D", "2",
+            "--k-grid", "1:2", "--repeats", "1", "--holdout-size", "1000",
+            "--restarts", "2"]
+
+# config, the command run under it, the same run with flags only, and
+# the artifact that must come out identical
+CONFIG_RUNS = {
+    "supplies-required-flag": ({"k": 3}, FIT[:-2], FIT, "kmeans_model.json"),
+    "string-is-typed": ({"restarts": "3"}, FIT, FIT + ["--restarts", "3"],
+                        "kmeans_model.json"),
+    "list-fills-comma-flag": ({"train_sizes": [40, 80]}, TRADEOFF,
+                              TRADEOFF + ["--train-sizes", "40,80"], "summary.json"),
+    "comma-string": ({"train_sizes": "40,80"}, TRADEOFF,
+                     TRADEOFF + ["--train-sizes", "40,80"], "summary.json"),
+    "abbreviated-flag-wins": ({"holdout_size": 2000}, ["example1", "--holdout", "1000"],
+                              ["example1", "--holdout-size", "1000"], "example1.json"),
+    "dashed-key": ({"max-iters": 5}, FIT, FIT + ["--max-iters", "5"],
+                   "kmeans_model.json"),
+}
+
+
+def _artifact(path):
+    payload = json.loads(path.read_text())
+    for row in payload.get("rows", []):
+        row.pop("seconds")  # wall time, the one field that may differ
+    return payload
+
+
+@pytest.mark.parametrize("case", CONFIG_RUNS)
+def test_config_equals_flags(tmp_path, case):
+    conf_values, argv, flags, artifact = CONFIG_RUNS[case]
+    data = tmp_path / "data"
+    assert run(*SAMPLE, "--n", "60", "--out", str(data)) == 0
+    fill = {"{data}": str(data / "dataset.mrc1")}
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps(conf_values))
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert run("--config", str(conf), *[fill.get(x, x) for x in argv],
+               "--out", str(a)) == 0
+    assert run(*[fill.get(x, x) for x in flags], "--out", str(b)) == 0
+    assert _artifact(a / artifact) == _artifact(b / artifact)
+
+
+CONFIG_USAGE_ERRORS = {
+    "untyped-value": ({"n": "abc"}, SAMPLE[:-2], "argument --n:"),
+    "null-value": ({"n": None}, SAMPLE[:-2], "argument --n:"),
+    "bad-choice": ({"kind": "torus"}, SAMPLE, "argument --kind:"),
+    "empty-list": ({"train_sizes": []}, TRADEOFF, "argument --train-sizes:"),
+    "flag-of-another-command": ({"threads": 2}, SAMPLE, "--threads=2"),
+}
+
+
+@pytest.mark.parametrize("case", CONFIG_USAGE_ERRORS)
+def test_config_value_is_checked_by_its_flag(tmp_path, capsys, case):
+    conf_values, argv, flag = CONFIG_USAGE_ERRORS[case]
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps(conf_values))
+    assert run("--config", str(conf), *argv,
+               "--out", str(tmp_path / "o")) == cli.EXIT_USAGE
+    assert flag in capsys.readouterr().err
+
+
+def test_config_after_the_command_is_usage_error(tmp_path):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"n": 5}))
+    assert run(*SAMPLE, "--config", str(conf),
+               "--out", str(tmp_path)) == cli.EXIT_USAGE
+
+
+@pytest.mark.parametrize("command", [None, *cli._HANDLERS])
+def test_help_exits_zero(tmp_path, capsys, command):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"seed": 1}))
+    argv = [] if command is None else [command]
+    assert run(*argv, "-h") == 0
+    assert run("--config", str(conf), *argv, "-h") == 0
+    assert "usage:" in capsys.readouterr().out
 
 
 def test_import_mnist(tmp_path):
@@ -248,4 +362,7 @@ def test_import_mnist(tmp_path):
     ds = storage.read_dataset(out / "dataset.mrc1")
     assert ds.points.shape == (2, 784)
     assert run("import-mnist", "--images", str(tmp_path / "absent"),
+               "--out", str(out)) == cli.EXIT_DATA
+    idx.write_bytes(struct.pack(">iiii", 2051, 0, 28, 28))
+    assert run("import-mnist", "--images", str(idx),
                "--out", str(out)) == cli.EXIT_DATA

@@ -6,6 +6,8 @@ import struct
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from manifold_recon import geometry
 from manifold_recon.errors import DataFormatError, ParameterError
@@ -142,6 +144,40 @@ def test_idx_truncated_header(tmp_path):
         load_mnist(path)
 
 
+def test_idx_without_images_is_data_error(tmp_path):
+    path = tmp_path / "none.idx3-ubyte"
+    for count in (0, -1):
+        path.write_bytes(struct.pack(">iiii", 2051, count, 28, 28))
+        with pytest.raises(DataFormatError, match="offset 4"):
+            load_mnist(path)
+    path.write_bytes(idx_bytes(np.zeros((2, 28, 28))))
+    with pytest.raises(ParameterError):
+        load_mnist(path, limit=0)
+
+
+_INT32 = st.integers(-2 ** 31, 2 ** 31 - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(magic=st.one_of(st.just(2051), _INT32),
+       count=st.one_of(st.integers(-2, 5), _INT32),
+       rows=st.one_of(st.just(28), _INT32), cols=st.one_of(st.just(28), _INT32),
+       extra=st.integers(-20, 20), cut=st.integers(0, 20), seed=st.integers(0, 2 ** 32))
+def test_idx_header_fuzz_raises_only_data_errors(tmp_path_factory, magic, count, rows,
+                                                 cols, extra, cut, seed):
+    """Any header, payload length or truncation reads or is a DataFormatError."""
+    size = max(0, min(count * 784, 5 * 784) + extra)
+    payload = np.random.default_rng(seed).bytes(size)
+    raw = struct.pack(">iiii", magic, count, rows, cols) + payload
+    path = tmp_path_factory.getbasetemp() / "fuzz.idx3-ubyte"
+    path.write_bytes(raw[:max(0, len(raw) - cut)])
+    try:
+        ds = load_mnist(path)
+    except DataFormatError:
+        return
+    assert ds.points.shape == (count, 784)
+
+
 # -- manifold specs -----------------------------------------------------------
 
 def test_manifold_spec_sphere_defaults():
@@ -167,11 +203,8 @@ def test_manifold_spec_overrides_and_validation():
                         density_norm=2.5, curvature=1.25)
     assert spec.effective_density_norm() == 2.5
     assert spec.effective_curvature() == 1.25
-    with pytest.raises(ParameterError):
-        ManifoldSpec(kind="torus", intrinsic_dim=2, ambient_dim=4)
+    for kind in ("torus", "custom"):
+        with pytest.raises(ParameterError):
+            ManifoldSpec(kind=kind, intrinsic_dim=2, ambient_dim=4)
     with pytest.raises(ParameterError):
         ManifoldSpec(kind="circle", intrinsic_dim=2, ambient_dim=3)
-    custom = ManifoldSpec(kind="custom", intrinsic_dim=2, ambient_dim=4,
-                          density_norm=1.0, curvature=0.0)
-    with pytest.raises(ParameterError):
-        custom.sample(10, seed=0)

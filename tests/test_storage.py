@@ -1,7 +1,11 @@
 """Binary dataset container and CSV ingestion."""
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from manifold_recon import storage
 from manifold_recon.errors import DataFormatError
@@ -62,3 +66,23 @@ def test_load_any_dispatch(tmp_path):
     csv_path.write_text("0.25,0.25\n" * 3)
     assert np.array_equal(storage.load_any(bin_path).points, ds.points)
     assert np.array_equal(storage.load_any(csv_path).points, ds.points)
+
+
+@settings(max_examples=200, deadline=None)
+@given(magic=st.one_of(st.just(storage.MAGIC), st.binary(min_size=4, max_size=4)),
+       n=st.one_of(st.integers(0, 6), st.integers(0, 2 ** 32 - 1)),
+       D=st.one_of(st.integers(0, 6), st.integers(0, 2 ** 32 - 1)),
+       extra=st.integers(-12, 12), cut=st.integers(0, 16), seed=st.integers(0, 2 ** 32))
+def test_header_fuzz_raises_only_data_errors(tmp_path_factory, magic, n, D, extra,
+                                             cut, seed):
+    """Any header, payload length or truncation reads or is a DataFormatError."""
+    size = max(0, min(8 * n * D, 4096) + extra)
+    payload = np.random.default_rng(seed).bytes(size)
+    raw = magic + struct.pack("<II", n, D) + payload
+    path = tmp_path_factory.getbasetemp() / "fuzz.mrc1"
+    path.write_bytes(raw[:max(0, len(raw) - cut)])
+    try:
+        ds = storage.read_dataset(path)
+    except DataFormatError:
+        return
+    assert ds.points.shape == (n, D)

@@ -22,6 +22,16 @@ def _check_delta(delta: float) -> None:
         raise ParameterError(f"delta must lie in (0, 1), got {delta}")
 
 
+def _check_density_norm(density_norm: float) -> None:
+    if not (0.0 < density_norm < math.inf):
+        raise ParameterError(f"density_norm must be finite and > 0, got {density_norm}")
+
+
+def _check_curvature(curvature: float) -> None:
+    if not (0.0 <= curvature < math.inf):
+        raise ParameterError(f"curvature must be finite and >= 0, got {curvature}")
+
+
 def quantization_constant(d: int, order: int = 2) -> float:
     """Asymptotic surrogate for the optimal-quantizer constant.
 
@@ -62,8 +72,7 @@ def approx_kmeans(k: float, d: int, density_norm: float,
     density_norm is the integral of p^{d/(d+2)}; the Zador constant
     multiplies its (d+2)/d power.
     """
-    if density_norm <= 0:
-        raise ParameterError("density_norm must be positive")
+    _check_density_norm(density_norm)
     C = quantization_constant(d, 2) if C_d is None else C_d
     return C * k ** (-2.0 / d) * density_norm ** ((d + 2.0) / d)
 
@@ -72,8 +81,7 @@ def approx_kflats(k: float, d: int, curvature: float,
                   C_d: Optional[float] = None) -> float:
     """Curvature-controlled approximation error for k d-flats:
     C * (curvature / k)^{4/d}."""
-    if curvature < 0:
-        raise ParameterError("curvature must be >= 0")
+    _check_curvature(curvature)
     C = quantization_constant(d, 4) if C_d is None else C_d
     return C * (curvature / k) ** (4.0 / d)
 
@@ -85,8 +93,7 @@ def kn_kmeans(n: int, d: int, density_norm: float,
 
     Real-valued; round to max(1, round(k_n)) before fitting.
     """
-    if density_norm <= 0:
-        raise ParameterError("density_norm must be positive")
+    _check_density_norm(density_norm)
     C = quantization_constant(d, 2) if C_d is None else C_d
     return (n ** (d / (2.0 * (d + 2))) * (C / (24.0 * math.sqrt(math.pi))) ** (d / (d + 2.0))
             * density_norm)
@@ -96,8 +103,7 @@ def kn_kflats(n: int, d: int, curvature: float,
               C_d: Optional[float] = None) -> float:
     """Flats-schedule analogue:
     n^{d/(2(d+4))} * (C/(2*sqrt(2*pi*d)))^{d/(d+4)} * curvature^{4/(d+4)}."""
-    if curvature < 0:
-        raise ParameterError("curvature must be >= 0")
+    _check_curvature(curvature)
     C = quantization_constant(d, 4) if C_d is None else C_d
     return (n ** (d / (2.0 * (d + 4))) * (C / (2.0 * math.sqrt(2.0 * math.pi * d))) ** (d / (d + 4.0))
             * curvature ** (4.0 / (d + 4)))
@@ -113,8 +119,7 @@ def rate_kmeans(n: int, d: int, delta: float, density_norm: float,
     explicit chain with the additional (~ln n) multiplicative correction.
     """
     _check_delta(delta)
-    if density_norm <= 0:
-        raise ParameterError("density_norm must be positive")
+    _check_density_norm(density_norm)
     C = quantization_constant(d, 2) if C_d is None else C_d
     L = math.sqrt(math.log(1.0 / delta))
     core = (C ** (d / (d + 2.0)) * (24.0 * math.sqrt(math.pi)) ** (2.0 / (d + 2))
@@ -133,8 +138,7 @@ def rate_kflats(n: int, d: int, delta: float, curvature: float,
     """Flats-schedule bound: 2*(8*pi*d)^{2/(d+4)} * C^{d/(d+4)} *
     n^{-2/(d+4)} * sqrt(ln(1/delta)/2) * curvature^{4/(d+4)}."""
     _check_delta(delta)
-    if curvature < 0:
-        raise ParameterError("curvature must be >= 0")
+    _check_curvature(curvature)
     C = quantization_constant(d, 4) if C_d is None else C_d
     return (2.0 * (8.0 * math.pi * d) ** (2.0 / (d + 4)) * C ** (d / (d + 4.0))
             * n ** (-2.0 / (d + 4)) * math.sqrt(0.5 * math.log(1.0 / delta))
@@ -172,12 +176,10 @@ class BoundInputs:
         if self.n < 1 or self.k < 1 or self.d < 1:
             raise ParameterError("n, k, d must be >= 1")
         _check_delta(self.delta)
-        if self.density_norm <= 0:
-            raise ParameterError("density_norm must be positive")
-        if self.curvature < 0:
-            raise ParameterError("curvature must be >= 0")
-        if self.C_d is not None and self.C_d <= 0:
-            raise ParameterError("C_d must be positive")
+        _check_density_norm(self.density_norm)
+        _check_curvature(self.curvature)
+        if self.C_d is not None and not (0.0 < self.C_d < math.inf):
+            raise ParameterError(f"C_d must be finite and > 0, got {self.C_d}")
 
 
 @dataclass(frozen=True)

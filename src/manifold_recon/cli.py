@@ -4,12 +4,14 @@ Thin adapter over the library: every result is byte-identical to calling
 the corresponding function with the same parameters and seed. Randomized
 commands default to seed 0, never wall-clock seeding. The keys of a
 `--config` JSON file become `--key=value` flags right after the command
-name, so argparse types them and the flags typed after them win. Exit
-codes: 0 ok, 2 usage, 3 data/file, 4 computation.
+name, so argparse types them and the flags typed after them win. A command
+returns its artifacts and a summary line; `main` creates `--out` before the
+command runs and writes them. Exit codes: 0 ok, 2 usage, 3 data/file, 4 compute.
 """
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -133,21 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _outdir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _write_json(path: Path, obj) -> None:
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2)
-
-
-def _manifold(args) -> ManifoldSpec:
-    return ManifoldSpec(kind=args.kind, intrinsic_dim=args.d, ambient_dim=args.D)
-
-
 def _fit_config(args) -> FitConfig:
     return FitConfig(max_iters=getattr(args, "max_iters", _FIT.max_iters),
                      rel_tol=getattr(args, "rel_tol", _FIT.rel_tol),
@@ -155,37 +142,27 @@ def _fit_config(args) -> FitConfig:
 
 
 def _cmd_sample(args):
-    ds = _manifold(args).sample(args.n, args.seed)
-    out = _outdir(args)
-    path = out / "dataset.mrc1"
-    storage.write_dataset(path, ds)
-    print(f"sample: wrote {ds.size} x {ds.ambient_dim} points to {path}")
+    ds = ManifoldSpec(args.kind, args.d, args.D).sample(args.n, args.seed)
+    return {"dataset.mrc1": ds}, f"{ds.size} x {ds.ambient_dim} points"
 
 
 def _cmd_import_mnist(args):
     ds = load_mnist(args.images, limit=args.limit)
-    out = _outdir(args)
-    path = out / "dataset.mrc1"
-    storage.write_dataset(path, ds)
-    print(f"import-mnist: wrote {ds.size} x {ds.ambient_dim} points to {path}")
+    return {"dataset.mrc1": ds}, f"{ds.size} x {ds.ambient_dim} points"
 
 
 def _cmd_fit_kmeans(args):
     data = storage.load_any(args.data)
     model = kmeans.fit(data, args.k, _fit_config(args), seed=args.seed)
-    out = _outdir(args)
-    path = out / "kmeans_model.json"
-    _write_json(path, model.to_json_dict())
-    print(f"fit-kmeans: k={args.k} objective={model.objective!r} -> {path}")
+    return ({"kmeans_model.json": model.to_json_dict()},
+            f"k={args.k} objective={model.objective!r}")
 
 
 def _cmd_fit_kflats(args):
     data = storage.load_any(args.data)
     model = kflats.fit(data, args.k, args.d, _fit_config(args), seed=args.seed)
-    out = _outdir(args)
-    path = out / "kflats_model.json"
-    _write_json(path, model.to_json_dict())
-    print(f"fit-kflats: k={args.k} d={args.d} objective={model.objective!r} -> {path}")
+    return ({"kflats_model.json": model.to_json_dict()},
+            f"k={args.k} d={args.d} objective={model.objective!r}")
 
 
 def _cmd_bounds(args):
@@ -193,33 +170,28 @@ def _cmd_bounds(args):
     if args.preset:
         D = args.d + 1 if args.preset == "sphere" else args.d
         spec = ManifoldSpec(args.preset, args.d, D, args.density_norm, args.curvature)
-        density_norm = spec.effective_density_norm()
-        curvature = spec.effective_curvature()
+        density_norm, curvature = spec.effective_density_norm(), spec.effective_curvature()
     elif density_norm is None:
         density_norm = bounds.holder_density_bound(args.d)
     inputs = bounds.BoundInputs(n=args.n, k=args.k, d=args.d, delta=args.delta,
                                 density_norm=density_norm,
                                 curvature=curvature, C_d=args.c_d)
     report = bounds.decompose(args.empirical, args.holdout, inputs, args.family)
-    out = _outdir(args)
-    path = out / "bound_report.json"
-    _write_json(path, report.to_json_dict())
-    print(f"bounds: statistical={report.statistical!r} "
-          f"approximation={report.approximation!r} k_n={report.k_n!r} -> {path}")
+    return ({"bound_report.json": report.to_json_dict()},
+            f"statistical={report.statistical!r} "
+            f"approximation={report.approximation!r} k_n={report.k_n!r}")
 
 
 def _cmd_example1(args):
     e1, e2 = harness.example1(args.seed, holdout_size=args.holdout_size)
-    out = _outdir(args)
-    path = out / "example1.json"
-    _write_json(path, {"e_k1": e1, "e_k2": e2,
-                       "single_mean_wins": e1 < e2, "seed": args.seed})
-    print(f"example1: e_k1={e1!r} e_k2={e2!r} single_mean_wins={e1 < e2}")
+    return ({"example1.json": {"e_k1": e1, "e_k2": e2,
+                               "single_mean_wins": e1 < e2, "seed": args.seed}},
+            f"e_k1={e1!r} e_k2={e2!r} single_mean_wins={e1 < e2}")
 
 
 def _experiment_spec(args, k_grid) -> harness.ExperimentSpec:
     return harness.ExperimentSpec(
-        manifold=_manifold(args),
+        manifold=ManifoldSpec(args.kind, args.d, args.D),
         train_sizes=args.train_sizes if hasattr(args, "train_sizes") else [args.n],
         k_grid=k_grid,
         holdout_size=args.holdout_size,
@@ -230,63 +202,47 @@ def _experiment_spec(args, k_grid) -> harness.ExperimentSpec:
         threads=args.threads)
 
 
-def _write_report(report: harness.ExperimentReport, out: Path) -> None:
-    report.write_csv(out / "report.csv")
-    report.write_json(out / "summary.json")
-    report.write_plot_files(out)
-
-
 def _cmd_tradeoff(args):
-    spec = _experiment_spec(args, args.k_grid)
-    report = harness.tradeoff_experiment(spec)
-    out = _outdir(args)
-    _write_report(report, out)
-    print(f"tradeoff: {len(report.rows)} cells, "
-          f"descent_violations={report.descent_violations} -> {out}")
+    report = harness.tradeoff_experiment(_experiment_spec(args, args.k_grid))
+    return ({"summary.json": report},
+            f"{len(report.rows)} cells, descent_violations={report.descent_violations}")
 
 
 def _cmd_rates(args):
     spec = _experiment_spec(args, "auto")
     report = harness.rate_experiment(spec, schedule=args.schedule)
-    out = _outdir(args)
-    _write_report(report, out)
     rf = report.rate_fit
-    print(f"rates[{args.schedule}]: slope={rf.slope!r} residual={rf.residual!r} -> {out}")
+    return ({"summary.json": report}, f"schedule={args.schedule} "
+            f"slope={rf.slope!r} residual={rf.residual!r}")
 
 
 def _cmd_select_k(args):
-    spec = _experiment_spec(args, args.k_grid)
-    k_star, report = harness.select_k(spec, n=args.n)
-    out = _outdir(args)
-    _write_report(report, out)
-    _write_json(out / "selected_k.json",
-                {"k_star": k_star, "n": args.n,
-                 "k_grid": sorted({r["k"] for r in report.rows}),
-                 "descent_violations": report.descent_violations})
-    print(f"select-k: k*={k_star} "
-          f"descent_violations={report.descent_violations} -> {out}")
+    k_star, report = harness.select_k(_experiment_spec(args, args.k_grid))
+    selected = {"k_star": k_star, "n": args.n,
+                "k_grid": sorted({r["k"] for r in report.rows}),
+                "descent_violations": report.descent_violations}
+    return ({"summary.json": report, "selected_k.json": selected},
+            f"k*={k_star} descent_violations={report.descent_violations}")
 
 
 def _cmd_oracle_check(args):
+    if args.trials < 1:
+        raise ParameterError("trials must be >= 1")
     rng_matches = 0
     ratios = []
     cfg = FitConfig(restarts=args.restarts)
     for t in range(args.trials):
         rs = mix_seed(args.seed, t)
-        rng = np.random.default_rng(rs)
-        pts = rng.uniform(-0.5, 0.5, size=(args.n, 2))
-        data = Dataset(pts)
+        data = Dataset(np.random.default_rng(rs).uniform(-0.5, 0.5, size=(args.n, 2)))
         opt, _ = oracle.global_kmeans(data, args.k)
         model = kmeans.fit(data, args.k, cfg, seed=rs)
         if abs(model.objective - opt) <= 1e-9:
             rng_matches += 1
         ratios.append(model.objective / opt if opt > 0 else 1.0)
-    out = _outdir(args)
     payload = {"trials": args.trials, "n": args.n, "k": args.k,
                "matches": rng_matches, "mean_ratio": float(np.mean(ratios))}
-    _write_json(out / "oracle_check.json", payload)
-    print(f"oracle-check: {rng_matches}/{args.trials} global, "
-          f"mean_ratio={payload['mean_ratio']!r}")
+    return ({"oracle_check.json": payload}, f"{rng_matches}/{args.trials} global, "
+            f"mean_ratio={payload['mean_ratio']!r}")
 
 
 _HANDLERS = {
@@ -303,14 +259,24 @@ _HANDLERS = {
 }
 
 
+def _write(path: Path, artifact) -> None:
+    """Write a Dataset, a JSON object, or a report (its CSV and plots beside)."""
+    if isinstance(artifact, Dataset):
+        storage.write_dataset(path, artifact)
+    elif isinstance(artifact, harness.ExperimentReport):
+        artifact.write_json(path)
+        artifact.write_csv(path.parent / "report.csv")
+        artifact.write_plot_files(path.parent)
+    else:
+        path.write_text(json.dumps(artifact, indent=2))
+
+
 def _config_flags(parser, path):
     """The JSON object in `path` as `--key=value` flags: `_` in a key becomes
     `-`, a list joins with commas, any other value goes through `str`."""
     try:
         with open(path, encoding="utf-8") as fh:
             conf = json.load(fh)
-    except FileNotFoundError as exc:
-        raise DataFormatError(f"config file not found: {path}") from exc
     except ValueError as exc:  # bad JSON or bad UTF-8
         parser.error(f"config is not valid JSON: {exc}")
     if not isinstance(conf, dict):
@@ -332,11 +298,18 @@ def main(argv=None) -> int:
         config = pre.parse_known_args(argv[:at])[0].config
         argv[at + 1:at + 1] = _config_flags(parser, config) if config else []
         args = parser.parse_args(argv)
-        _HANDLERS[args.command](args)
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)  # a bad --out fails before the work
+        if not os.access(out, os.W_OK | os.X_OK):
+            raise PermissionError(f"cannot write to {out}")
+        artifacts, summary = _HANDLERS[args.command](args)
+        for name, artifact in artifacts.items():
+            _write(out / name, artifact)
+        print(f"{args.command}: {summary} -> {out}")
         return 0
     except SystemExit as exc:
         return int(exc.code or 0)
-    except (DataFormatError, FileNotFoundError, IsADirectoryError) as exc:
+    except (DataFormatError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (ParameterError, ArithmeticError, np.linalg.LinAlgError) as exc:

@@ -171,10 +171,10 @@ class ManifoldSpec:
             raise ParameterError(f"sphere needs 1 <= d <= D-1, got d={d}, D={D}")
         if self.kind == "disk" and not (1 <= d <= D):
             raise ParameterError(f"disk needs 1 <= d <= D, got d={d}, D={D}")
-        if self.density_norm is not None and not self.density_norm > 0:
-            raise ParameterError("density_norm must be positive")
-        if self.curvature is not None and self.curvature < 0:
-            raise ParameterError("curvature must be non-negative")
+        if self.density_norm is not None and not 0.0 < self.density_norm < math.inf:
+            raise ParameterError("density_norm must be positive and finite")
+        if self.curvature is not None and not 0.0 <= self.curvature < math.inf:
+            raise ParameterError("curvature must be finite and non-negative")
 
     def sample(self, n: int, seed: int) -> Dataset:
         if self.kind in ("sphere", "circle"):

@@ -59,6 +59,8 @@ class ExperimentSpec:
             raise ParameterError(f"algorithm must be one of {ALGORITHMS}")
         if self.repeats < 1:
             raise ParameterError("repeats must be >= 1")
+        if self.threads < 1:
+            raise ParameterError("threads must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -280,21 +282,17 @@ def rate_experiment(spec: ExperimentSpec, schedule: str | None = None) -> Experi
     """Hold-out error along the balanced-k schedule, with a log-log slope fit.
 
     Requires at least 4 distinct training sizes spanning two decades; the
-    schedule picks k = max(1, round(k_n)) per training size.  By default the
-    schedule matches ``spec.algorithm``.
+    schedule picks k = max(1, round(k_n)) per training size.  A `schedule`
+    names the algorithm to run in place of ``spec.algorithm``; the k-flats
+    one uses the k-flats k_n, every other the k-means k_n.
     """
-    if schedule is None:
-        schedule = "kflats" if spec.algorithm == "kflats" else "kmeans"
-    if schedule not in ("kmeans", "kflats"):
-        raise ParameterError("schedule must be 'kmeans' or 'kflats'")
+    if schedule is not None:
+        spec = replace(spec, algorithm=schedule)
     sizes = sorted(set(spec.train_sizes))
     if len(sizes) < 4 or sizes[-1] < 100 * sizes[0]:
         raise ParameterError(
             "rate fits need >= 4 distinct training sizes spanning >= 2 decades")
-    # the schedule's family, but kmeanspp-seed keeps itself on the k-means one
-    algo = schedule if "kflats" in (schedule, spec.algorithm) else spec.algorithm
-    report = tradeoff_experiment(replace(spec, algorithm=algo, k_grid="auto",
-                                         train_sizes=sizes))
+    report = tradeoff_experiment(replace(spec, k_grid="auto", train_sizes=sizes))
     report.rate_fit = fit_loglog(sizes, [_mean(report.rows, "holdout", n=n)
                                          for n in sizes])
     return report

@@ -64,10 +64,6 @@ class Flat:
         object.__setattr__(self, "degenerate", mask)
 
     @property
-    def dim(self) -> int:
-        return self.basis.shape[1]
-
-    @property
     def ambient_dim(self) -> int:
         return self.offset.shape[0]
 

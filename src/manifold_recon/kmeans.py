@@ -11,6 +11,7 @@ descent violations, off the traces. k-means supplies `min_sqdist`,
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -30,8 +31,8 @@ class FitConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ParameterError("max_iters must be >= 1")
-        if self.rel_tol < 0:
-            raise ParameterError("rel_tol must be >= 0")
+        if not 0.0 <= self.rel_tol < math.inf:
+            raise ParameterError("rel_tol must be finite and >= 0")
         if self.restarts < 1:
             raise ParameterError("restarts must be >= 1")
 

@@ -14,6 +14,8 @@ from mpmath import mpf
 
 from manifold_recon import bounds
 from manifold_recon.errors import ParameterError
+from manifold_recon.geometry import ManifoldSpec
+from manifold_recon.kmeans import FitConfig
 
 mpmath.mp.dps = 40
 
@@ -225,3 +227,32 @@ def test_invalid_inputs_raise():
         bounds.decompose(1.0, 1.0,
                          bounds.BoundInputs(n=10, k=1, d=1, delta=0.05, density_norm=1.0),
                          family="median")
+
+
+def _inputs(**over):
+    return bounds.BoundInputs(**{"n": 10, "k": 1, "d": 1, "delta": 0.05,
+                                 "density_norm": 1.0, **over})
+
+
+# every validated scalar, and every formula's density_norm / curvature
+FINITE_FIELDS = {
+    "BoundInputs.density_norm": lambda v: _inputs(density_norm=v),
+    "BoundInputs.curvature": lambda v: _inputs(curvature=v),
+    "BoundInputs.C_d": lambda v: _inputs(C_d=v),
+    "ManifoldSpec.density_norm": lambda v: ManifoldSpec("sphere", 2, 3, density_norm=v),
+    "ManifoldSpec.curvature": lambda v: ManifoldSpec("sphere", 2, 3, curvature=v),
+    "FitConfig.rel_tol": lambda v: FitConfig(rel_tol=v),
+    "approx_kmeans": lambda v: bounds.approx_kmeans(4, 2, v),
+    "kn_kmeans": lambda v: bounds.kn_kmeans(100, 2, v),
+    "rate_kmeans": lambda v: bounds.rate_kmeans(100, 2, 0.05, v),
+    "approx_kflats": lambda v: bounds.approx_kflats(4, 2, v),
+    "kn_kflats": lambda v: bounds.kn_kflats(100, 2, v),
+    "rate_kflats": lambda v: bounds.rate_kflats(100, 2, 0.05, v),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", FINITE_FIELDS)
+def test_non_finite_scalar_is_rejected(field, value):
+    with pytest.raises(ParameterError):
+        FINITE_FIELDS[field](value)

@@ -366,3 +366,96 @@ def test_import_mnist(tmp_path):
     idx.write_bytes(struct.pack(">iiii", 2051, 0, 28, 28))
     assert run("import-mnist", "--images", str(idx),
                "--out", str(out)) == cli.EXIT_DATA
+
+
+TREND = ["--train-sizes", "50,200,1000,5000", "--repeats", "1",
+         "--holdout-size", "1000", "--restarts", "2"]
+SELECT_K = ["select-k", "--kind", "circle", "--d", "1", "--D", "2",
+            "--n", "30", "--k-grid", "1,2", *TREND[2:]]
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--d", "2", "--n", "100", "--k", "4", "--density-norm", "nan"],
+    ["bounds", "--d", "2", "--n", "100", "--k", "4", "--density-norm", "inf"],
+    ["bounds", "--d", "2", "--n", "100", "--k", "4", "--curvature", "inf"],
+    ["bounds", "--d", "2", "--n", "100", "--k", "4", "--c-d", "nan"],
+    ["bounds", "--preset", "sphere", "--d", "2", "--n", "100", "--k", "4",
+     "--curvature", "nan"],
+    ["fit-kmeans", "--data", "{data}", "--k", "2", "--rel-tol", "nan"],
+    ["oracle-check", "--trials", "0"],
+    TRADEOFF + ["--threads", "0"],
+    ["rates", *TREND, "--threads", "0"],
+    [*SELECT_K, "--threads", "0"],
+], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
+def test_non_finite_or_count_below_one_is_compute_error(tmp_path, capsys, argv):
+    data = tmp_path / "data"
+    assert run(*SAMPLE, "--out", str(data)) == 0
+    out = tmp_path / "o"
+    argv = [str(data / "dataset.mrc1") if a == "{data}" else a for a in argv]
+    assert run(*argv, "--out", str(out)) == cli.EXIT_COMPUTE
+    assert capsys.readouterr().err.startswith("compute error:")
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["sample", "fit-kmeans", "tradeoff"])
+@pytest.mark.parametrize("where", ["file", "under-file", "unwritable"])
+def test_unusable_out_is_data_error_before_the_work(tmp_path, capsys, monkeypatch,
+                                                    command, where):
+    data = tmp_path / "data"
+    assert run(*SAMPLE, "--out", str(data)) == 0
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    out = {"file": blocker, "under-file": blocker / "o", "unwritable": tmp_path}[where]
+    if where == "unwritable":  # a superuser writes anywhere: fake a refusal
+        monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+
+    def never(*args, **kwargs):
+        raise AssertionError("the work ran before --out was checked")
+
+    monkeypatch.setattr(cli.ManifoldSpec, "sample", never)
+    monkeypatch.setattr(cli.kmeans, "fit", never)
+    monkeypatch.setattr(cli.harness, "tradeoff_experiment", never)
+    argv = {"sample": SAMPLE, "tradeoff": TRADEOFF,
+            "fit-kmeans": [str(data / "dataset.mrc1") if a == "{data}" else a
+                           for a in FIT]}[command]
+    capsys.readouterr()
+    assert run(*argv, "--out", str(out)) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "Traceback" not in err
+
+
+CURVES = ["report.csv", "summary.json"]
+
+# each command with small inputs, and the files it leaves in --out
+COMMAND_FILES = {
+    "sample": (SAMPLE, ["dataset.mrc1"]),
+    "import-mnist": (["import-mnist", "--images", "{idx}"], ["dataset.mrc1"]),
+    "fit-kmeans": (FIT, ["kmeans_model.json"]),
+    "fit-kflats": (["fit-kflats", "--data", "{data}", "--k", "2", "--d", "1"],
+                   ["kflats_model.json"]),
+    "bounds": (["bounds", "--preset", "sphere", "--d", "2", "--n", "100", "--k", "4"],
+               ["bound_report.json"]),
+    "example1": (["example1", "--holdout-size", "1000"], ["example1.json"]),
+    "tradeoff": (TRADEOFF + ["--train-sizes", "40"], CURVES + ["curve_n40.tsv"]),
+    "rates": (["rates", *TREND], CURVES + ["loglog.tsv"]
+              + [f"curve_n{n}.tsv" for n in (50, 200, 1000, 5000)]),
+    "select-k": (SELECT_K, CURVES + ["curve_n30.tsv", "selected_k.json"]),
+    "oracle-check": (["oracle-check", "--n", "6", "--trials", "3"], ["oracle_check.json"]),
+}
+
+
+@pytest.mark.parametrize("command", cli._HANDLERS)
+def test_status_line_and_out_files(tmp_path, capsys, command):
+    argv, files = COMMAND_FILES[command]
+    inputs = tmp_path / "in"
+    assert run(*SAMPLE, "--out", str(inputs)) == 0
+    (inputs / "images.idx").write_bytes(struct.pack(">iiii", 2051, 2, 28, 28)
+                                        + bytes(2 * 28 * 28))
+    fill = {"{data}": str(inputs / "dataset.mrc1"), "{idx}": str(inputs / "images.idx")}
+    out = tmp_path / "o"
+    capsys.readouterr()
+    assert run(*[fill.get(a, a) for a in argv], "--out", str(out)) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"{command}: ") and lines[0].endswith(f" -> {out}")
+    assert sorted(p.name for p in out.iterdir()) == sorted(files)

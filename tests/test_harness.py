@@ -222,7 +222,7 @@ def without_seconds(rows):
     return [{key: v for key, v in r.items() if key != "seconds"} for r in rows]
 
 
-@pytest.mark.parametrize("schedule", ["kmeans", "kflats"])
+@pytest.mark.parametrize("schedule", ["kmeans", "kflats", "kmeanspp-seed"])
 def test_rate_experiment_is_the_auto_grid(schedule):
     # rate sizes are sorted, and the schedule picks the algorithm
     sizes = [50, 200, 1000, 5000]
@@ -287,6 +287,8 @@ def test_spec_validation():
         small_spec(algorithm="dbscan")
     with pytest.raises(ParameterError):
         small_spec(repeats=0)
+    with pytest.raises(ParameterError):
+        small_spec(threads=0)
 
 
 def test_cell_failure_is_annotated_with_coordinates():

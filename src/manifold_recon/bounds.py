@@ -6,7 +6,6 @@ dimension is used as the default numeric surrogate; every formula accepts
 an override. Reported bounds should be read as "with surrogate constant".
 """
 
-import json
 import math
 from dataclasses import asdict, dataclass
 from typing import Optional
@@ -196,9 +195,6 @@ class BoundReport:
 
     def to_json_dict(self) -> dict:
         return asdict(self)
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_json_dict(), **kwargs)
 
 
 def decompose(empirical: float, holdout: float, inputs: BoundInputs,

@@ -204,7 +204,7 @@ def _experiment_spec(args, k_grid) -> harness.ExperimentSpec:
 
 def _cmd_tradeoff(args):
     report = harness.tradeoff_experiment(_experiment_spec(args, args.k_grid))
-    return ({"summary.json": report},
+    return (report.files(),
             f"{len(report.rows)} cells, descent_violations={report.descent_violations}")
 
 
@@ -212,7 +212,7 @@ def _cmd_rates(args):
     spec = _experiment_spec(args, "auto")
     report = harness.rate_experiment(spec, schedule=args.schedule)
     rf = report.rate_fit
-    return ({"summary.json": report}, f"schedule={args.schedule} "
+    return (report.files(), f"schedule={args.schedule} "
             f"slope={rf.slope!r} residual={rf.residual!r}")
 
 
@@ -221,7 +221,7 @@ def _cmd_select_k(args):
     selected = {"k_star": k_star, "n": args.n,
                 "k_grid": sorted({r["k"] for r in report.rows}),
                 "descent_violations": report.descent_violations}
-    return ({"summary.json": report, "selected_k.json": selected},
+    return ({**report.files(), "selected_k.json": selected},
             f"k*={k_star} descent_violations={report.descent_violations}")
 
 
@@ -260,15 +260,12 @@ _HANDLERS = {
 
 
 def _write(path: Path, artifact) -> None:
-    """Write a Dataset, a JSON object, or a report (its CSV and plots beside)."""
+    """Write a Dataset as a container, a str as given, anything else as JSON."""
     if isinstance(artifact, Dataset):
         storage.write_dataset(path, artifact)
-    elif isinstance(artifact, harness.ExperimentReport):
-        artifact.write_json(path)
-        artifact.write_csv(path.parent / "report.csv")
-        artifact.write_plot_files(path.parent)
     else:
-        path.write_text(json.dumps(artifact, indent=2))
+        path.write_text(artifact if isinstance(artifact, str)
+                        else json.dumps(artifact, indent=2), newline="")
 
 
 def _config_flags(parser, path):

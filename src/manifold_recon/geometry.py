@@ -8,7 +8,7 @@ distribution-level reproducibility across implementations.
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np

@@ -4,16 +4,15 @@ the two-sample high-dimension example, and convergence-rate fits.
 Every grid cell derives its own seed as mix_seed(base_seed, n, k, repeat),
 and the shared hold-out sample uses mix_seed(base_seed, HOLDOUT_TAG), so
 reports are deterministic given (spec, base_seed) and cells may run
-concurrently in any order.
+concurrently in any order. A report writes no file: `ExperimentReport.files`
+renders `summary.json`, `report.csv`, `curves.tsv` and, with a rate fit,
+`loglog.tsv` by name, and the caller writes them.
 """
 
-import csv
-import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
-from pathlib import Path
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -78,51 +77,33 @@ class ExperimentReport:
     bound_rows: List[BoundReport] = field(default_factory=list)
     descent_violations: int = 0
 
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["n", "k", "repeat", "empirical", "holdout", "seconds"])
-            for r in self.rows:
-                w.writerow([r["n"], r["k"], r["repeat"],
-                            repr(r["empirical"]), repr(r["holdout"]),
-                            repr(r["seconds"])])
-
-    def to_json_dict(self) -> dict:
-        return {
-            "rows": self.rows,
-            "descent_violations": self.descent_violations,
-            "rate_fit": None if self.rate_fit is None else asdict(self.rate_fit),
-            "bound_rows": [b.to_json_dict() for b in self.bound_rows],
-        }
-
-    def write_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2)
-
     def curve(self, n: int) -> List[Tuple[int, float]]:
         """(k, mean hold-out error) pairs for one training size."""
         return [(k, _mean(self.rows, "holdout", n=n, k=k))
                 for k in sorted({r["k"] for r in self.rows if r["n"] == n})]
 
-    def write_plot_files(self, out_dir) -> List[Path]:
-        """Plot-ready two-column text files: k vs mean hold-out error per n,
-        plus ln n vs ln mean error when a rate fit exists."""
-        out_dir = Path(out_dir)
-        written = []
-        for n in sorted({r["n"] for r in self.rows}):
-            p = out_dir / f"curve_n{n}.tsv"
-            with open(p, "w") as fh:
-                for k, err in self.curve(n):
-                    fh.write(f"{k}\t{err!r}\n")
-            written.append(p)
+    def files(self) -> dict:
+        """The report's files by name: `summary.json` (a JSON object),
+        `report.csv` (one row per cell), `curves.tsv` (n, k and mean hold-out
+        error per line) and, with a rate fit, `loglog.tsv` (ln n and ln mean
+        error per line)."""
+        sizes = sorted({r["n"] for r in self.rows})
+        files = {
+            "summary.json": {
+                "rows": self.rows,
+                "descent_violations": self.descent_violations,
+                "rate_fit": None if self.rate_fit is None else asdict(self.rate_fit),
+                "bound_rows": [b.to_json_dict() for b in self.bound_rows]},
+            "report.csv": "n,k,repeat,empirical,holdout,seconds\r\n" + "".join(
+                f"{r['n']},{r['k']},{r['repeat']},{r['empirical']!r},"
+                f"{r['holdout']!r},{r['seconds']!r}\r\n" for r in self.rows),
+            "curves.tsv": "".join(f"{n}\t{k}\t{err!r}\n"
+                                  for n in sizes for k, err in self.curve(n))}
         if self.rate_fit is not None:
-            p = out_dir / "loglog.tsv"
-            with open(p, "w") as fh:
-                for n in sorted({r["n"] for r in self.rows}):
-                    err = _mean(self.rows, "holdout", n=n)
-                    fh.write(f"{math.log(n)!r}\t{math.log(err)!r}\n")
-            written.append(p)
-        return written
+            files["loglog.tsv"] = "".join(
+                f"{math.log(n)!r}\t{math.log(_mean(self.rows, 'holdout', n=n))!r}\n"
+                for n in sizes)
+        return files
 
 
 def _mean(rows: Sequence[dict], key: str, **where) -> float:
@@ -240,12 +221,10 @@ def tradeoff_experiment(spec: ExperimentSpec) -> ExperimentReport:
                             descent_violations=violations)
 
 
-def select_k(spec: ExperimentSpec,
-             n: Optional[int] = None) -> Tuple[int, ExperimentReport]:
-    """Hold-out model selection at training size n (default the first): the
-    smallest k of least mean hold-out error, and the report of its grid."""
-    if n is None:
-        n = spec.train_sizes[0]
+def select_k(spec: ExperimentSpec) -> Tuple[int, ExperimentReport]:
+    """Hold-out model selection at the first training size: the smallest k
+    of least mean hold-out error, and the report of its grid."""
+    n = spec.train_sizes[0]
     report = tradeoff_experiment(replace(spec, train_sizes=[n]))
     return argmin_k(dict(report.curve(n))), report
 

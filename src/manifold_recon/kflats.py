@@ -10,7 +10,6 @@ the assignment, per-cell `refit_cell` as the update, and as the start the
 PCA of the Voronoi cells of k-means++ point seeds.
 """
 
-import json
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Optional
@@ -111,9 +110,6 @@ class FlatsModel:
             "iterations": self.iterations,
             "seed": self.seed,
         }
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_json_dict(), **kwargs)
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "FlatsModel":

@@ -10,7 +10,6 @@ descent violations, off the traces. k-means supplies `min_sqdist`,
 `_cell_means` and the k-means++ centres as assignment, update and start.
 """
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import List, Optional
@@ -83,9 +82,6 @@ class MeansModel:
             "iterations": self.iterations,
             "seed": self.seed,
         }
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_json_dict(), **kwargs)
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "MeansModel":

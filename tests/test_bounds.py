@@ -191,7 +191,7 @@ def test_report_json_round_trip():
     inp = bounds.BoundInputs(n=100, k=2, d=2, delta=0.05, density_norm=1.5,
                              curvature=0.5, C_d=0.2)
     rep = bounds.decompose(1.0, 1.1, inp, family="kflats")
-    loaded = json.loads(rep.to_json())
+    loaded = json.loads(json.dumps(rep.to_json_dict()))
     assert loaded["family"] == "kflats"
     assert loaded["total"] == rep.total
     assert loaded["inputs"]["n"] == 100 and loaded["inputs"]["C_d"] == 0.2

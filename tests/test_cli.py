@@ -169,7 +169,7 @@ def test_tradeoff_artifacts(tmp_path):
                "--holdout-size", "1000", "--restarts", "3",
                "--out", str(out)) == 0
     assert (out / "report.csv").exists()
-    assert (out / "curve_n40.tsv").exists()
+    assert (out / "curves.tsv").exists()
     summary = json.loads((out / "summary.json").read_text())
     assert len(summary["rows"]) == 6
     assert summary["descent_violations"] == 0
@@ -191,7 +191,7 @@ def test_select_k_artifact(tmp_path):
     assert len(summary["rows"]) == 6
     assert [b["inputs"]["k"] for b in summary["bound_rows"]] == [1, 3, 50]
     assert (out / "report.csv").exists()
-    assert (out / "curve_n60.tsv").exists()
+    assert (out / "curves.tsv").exists()
 
 
 def test_select_k_auto_lists_the_k_it_ran(tmp_path):
@@ -424,7 +424,7 @@ def test_unusable_out_is_data_error_before_the_work(tmp_path, capsys, monkeypatc
     assert err.startswith("data error:") and "Traceback" not in err
 
 
-CURVES = ["report.csv", "summary.json"]
+CURVES = ["curves.tsv", "report.csv", "summary.json"]
 
 # each command with small inputs, and the files it leaves in --out
 COMMAND_FILES = {
@@ -436,10 +436,9 @@ COMMAND_FILES = {
     "bounds": (["bounds", "--preset", "sphere", "--d", "2", "--n", "100", "--k", "4"],
                ["bound_report.json"]),
     "example1": (["example1", "--holdout-size", "1000"], ["example1.json"]),
-    "tradeoff": (TRADEOFF + ["--train-sizes", "40"], CURVES + ["curve_n40.tsv"]),
-    "rates": (["rates", *TREND], CURVES + ["loglog.tsv"]
-              + [f"curve_n{n}.tsv" for n in (50, 200, 1000, 5000)]),
-    "select-k": (SELECT_K, CURVES + ["curve_n30.tsv", "selected_k.json"]),
+    "tradeoff": (TRADEOFF + ["--train-sizes", "40"], CURVES),
+    "rates": (["rates", *TREND], CURVES + ["loglog.tsv"]),
+    "select-k": (SELECT_K, CURVES + ["selected_k.json"]),
     "oracle-check": (["oracle-check", "--n", "6", "--trials", "3"], ["oracle_check.json"]),
 }
 
@@ -459,3 +458,12 @@ def test_status_line_and_out_files(tmp_path, capsys, command):
     assert len(lines) == 1
     assert lines[0].startswith(f"{command}: ") and lines[0].endswith(f" -> {out}")
     assert sorted(p.name for p in out.iterdir()) == sorted(files)
+
+
+def test_rerun_into_the_same_out_leaves_no_stale_curves(tmp_path):
+    out = tmp_path / "o"
+    for n in ("40", "80"):
+        assert run(*TRADEOFF, "--train-sizes", n, "--out", str(out)) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted(CURVES)
+    lines = (out / "curves.tsv").read_text().splitlines()
+    assert lines and all(line.startswith("80\t") for line in lines)

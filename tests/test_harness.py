@@ -51,7 +51,7 @@ def test_example1_midpoint_beats_pair_consistently():
         assert e1 < e2
 
 
-def test_tradeoff_report_structure(tmp_path):
+def test_tradeoff_report_structure():
     spec = small_spec()
     rep = harness.tradeoff_experiment(spec)
     assert len(rep.rows) == 3 * 2
@@ -65,25 +65,24 @@ def test_tradeoff_report_structure(tmp_path):
         assert abs(b.total - (2.0 * b.statistical + b.approximation)) < 1e-12
         assert b.inputs.n == 40
 
-    csv_path = tmp_path / "rows.csv"
-    rep.write_csv(csv_path)
-    with open(csv_path) as fh:
-        rows = list(csv.reader(fh))
+    files = rep.files()
+    assert sorted(files) == ["curves.tsv", "report.csv", "summary.json"]
+    text = files["report.csv"]
+    # every row, the header too, ends in CRLF, the CSV row end of RFC 4180
+    assert text.count("\n") == text.count("\r\n") == 1 + len(rep.rows)
+    assert text.endswith("\r\n")
+    rows = list(csv.reader(text.splitlines()))
     assert rows[0] == ["n", "k", "repeat", "empirical", "holdout", "seconds"]
     assert len(rows) == 1 + len(rep.rows)
     # repr round-trips doubles exactly
     assert float(rows[1][3]) == rep.rows[0]["empirical"]
 
-    json_path = tmp_path / "report.json"
-    rep.write_json(json_path)
-    loaded = json.loads(json_path.read_text())
+    loaded = json.loads(json.dumps(files["summary.json"]))
     assert loaded["descent_violations"] == 0
     assert len(loaded["rows"]) == len(rep.rows)
 
-    files = rep.write_plot_files(tmp_path)
-    assert (tmp_path / "curve_n40.tsv") in files
-    lines = (tmp_path / "curve_n40.tsv").read_text().strip().splitlines()
-    assert len(lines) == 3
+    lines = files["curves.tsv"].splitlines()
+    assert [line.split("\t")[:2] for line in lines] == [["40", "1"], ["40", "2"], ["40", "3"]]
 
 
 def test_tradeoff_deterministic_and_thread_invariant():

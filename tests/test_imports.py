@@ -1,0 +1,30 @@
+"""Every name a package module imports is used there or exported."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import manifold_recon
+
+SOURCES = sorted(Path(manifold_recon.__file__).parent.glob("*.py"))
+# imported but unused on purpose: perfbench/layers.py traces them by these names
+TRACED = {("harness", "fsum_mean"), ("harness", "min_sqdist"), ("kflats", "fsum_mean")}
+
+
+def unused_imports(source: str) -> set:
+    tree = ast.parse(source)
+    imported = {(a.asname or a.name).split(".")[0]
+                for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                for a in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = {elt.value for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+                for elt in node.value.elts}
+    return imported - used - exported
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    unused = unused_imports(path.read_text(encoding="utf-8"))
+    assert unused - {name for module, name in TRACED if module == path.stem} == set()

@@ -145,7 +145,7 @@ def test_d_zero_reduces_to_kmeans_objective():
 def test_json_round_trip():
     ds = sample_sphere(d=2, D=4, n=100, seed=11)
     m = kflats.fit(ds, 2, 2, FitConfig(restarts=2), seed=11)
-    back = kflats.FlatsModel.from_json_dict(json.loads(m.to_json()))
+    back = kflats.FlatsModel.from_json_dict(json.loads(json.dumps(m.to_json_dict())))
     assert back.objective == m.objective and back.k == m.k and back.d == m.d
     for fa, fb in zip(m.flats, back.flats):
         assert np.allclose(fa.offset, fb.offset, atol=0)

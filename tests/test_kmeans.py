@@ -190,7 +190,7 @@ def test_center_of_mass_residual_is_zero_at_fixed_point():
 def test_json_round_trip():
     ds = sample_sphere(d=1, D=2, n=60, seed=5)
     m = km.fit(ds, 3, seed=5)
-    obj = json.loads(m.to_json())
+    obj = json.loads(json.dumps(m.to_json_dict()))
     assert obj["k"] == 3 and obj["ambient_dim"] == 2
     back = km.MeansModel.from_json_dict(obj)
     assert np.array_equal(back.centers, m.centers)

@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass
 from typing import Optional
 
 from .errors import ParameterError
-from .geometry import sphere_surface_volume, unit_ball_volume
+from .geometry import unit_ball_volume
 
 _TWO_PI_E = 2.0 * math.pi * math.e
 
@@ -106,50 +106,6 @@ def kn_kflats(n: int, d: int, curvature: float,
     C = quantization_constant(d, 4) if C_d is None else C_d
     return (n ** (d / (2.0 * (d + 4))) * (C / (2.0 * math.sqrt(2.0 * math.pi * d))) ** (d / (d + 4.0))
             * curvature ** (4.0 / (d + 4)))
-
-
-def rate_kmeans(n: int, d: int, delta: float, density_norm: float,
-                C_d: Optional[float] = None, plusplus: bool = False) -> float:
-    """Expected-error bound at the balanced model size.
-
-    Plain variant: 2*C^{d/(d+2)}*(24*sqrt(pi))^{2/(d+2)} * density_norm *
-    n^{-1/(d+2)} * sqrt(ln 1/delta). With plusplus=True the randomized
-    seeding's 8(ln k + 2) computational factor is folded in, yielding the
-    explicit chain with the additional (~ln n) multiplicative correction.
-    """
-    _check_delta(delta)
-    _check_density_norm(density_norm)
-    C = quantization_constant(d, 2) if C_d is None else C_d
-    L = math.sqrt(math.log(1.0 / delta))
-    core = (C ** (d / (d + 2.0)) * (24.0 * math.sqrt(math.pi)) ** (2.0 / (d + 2))
-            * density_norm * n ** (-1.0 / (d + 2)) * L)
-    if not plusplus:
-        return 2.0 * core
-    log_p_norm = math.log(density_norm) * (d + 2.0) / d
-    bracket = 2.0 + (d / (d + 2.0)) * (0.5 * math.log(n)
-                                       + math.log(C / (12.0 * math.sqrt(math.pi)))
-                                       + log_p_norm)
-    return 16.0 * core * bracket
-
-
-def rate_kflats(n: int, d: int, delta: float, curvature: float,
-                C_d: Optional[float] = None) -> float:
-    """Flats-schedule bound: 2*(8*pi*d)^{2/(d+4)} * C^{d/(d+4)} *
-    n^{-2/(d+4)} * sqrt(ln(1/delta)/2) * curvature^{4/(d+4)}."""
-    _check_delta(delta)
-    _check_curvature(curvature)
-    C = quantization_constant(d, 4) if C_d is None else C_d
-    return (2.0 * (8.0 * math.pi * d) ** (2.0 / (d + 4)) * C ** (d / (d + 4.0))
-            * n ** (-2.0 / (d + 4)) * math.sqrt(0.5 * math.log(1.0 / delta))
-            * curvature ** (4.0 / (d + 4)))
-
-
-def sphere_curvature(d: int) -> float:
-    """Total root curvature of the unit d-sphere (unit Gaussian curvature,
-    so it equals the surface volume 2*pi^{(d+1)/2} / Gamma((d+1)/2))."""
-    if d < 1:
-        raise ParameterError("d must be >= 1")
-    return sphere_surface_volume(d)
 
 
 def holder_density_bound(d: int) -> float:

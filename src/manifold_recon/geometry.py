@@ -16,6 +16,7 @@ import numpy as np
 from .errors import DataFormatError, ParameterError
 
 MNIST_SCALE = 1.0 / (255.0 * 28.0)  # fixed scale putting any 28x28 image in the unit ball
+UNIT_BALL_SLACK = 1e-9  # row norms up to 1 + this count as inside (normalization round-off)
 
 
 @dataclass(frozen=True)
@@ -40,8 +41,8 @@ class Dataset:
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
-    def in_unit_ball(self, slack: float = 1e-9) -> bool:
-        return bool(np.linalg.norm(self.points, axis=1).max() <= 1.0 + slack)
+    def in_unit_ball(self) -> bool:
+        return bool(np.linalg.norm(self.points, axis=1).max() <= 1.0 + UNIT_BALL_SLACK)
 
     def require_unit_ball(self) -> "Dataset":
         if not self.in_unit_ball():

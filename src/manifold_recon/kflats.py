@@ -20,7 +20,8 @@ from .errors import ParameterError
 from .geometry import Dataset
 from .kmeans import (FitConfig, _best_of_restarts, _descend, empirical_error,
                      seed_kmeanspp)
-# fsum_mean is unused here, but perfbench/layers.py traces it by this name
+# fsum_mean is unused here, but perfbench/layers.py traces it under this
+# module and its tracer test getattr()s every target, so it must stay
 from .util import fsum_mean, min_sqdist
 
 # Eigen-solver contract, enforced by the refit_cell tests: basis vectors
@@ -194,10 +195,10 @@ def fit(data: Dataset, k: int, d: int, cfg: Optional[FitConfig] = None,
     """Best-of-restarts k-flats.
 
     Each restart seeds k centers by k-means++ on the points, forms the
-    point-distance Voronoi cells, refits each as a flat (an empty cell as
-    the degenerate flat through the point farthest from its center), then
-    alternates assign/refit until the assignment is stable or the relative
-    objective decrease drops below cfg.rel_tol.
+    point-distance Voronoi cells and refits each as a flat; every empty
+    cell becomes the degenerate flat through the one point farthest from
+    its nearest seed. It then alternates assign/refit until the assignment
+    is stable or the relative objective decrease drops below cfg.rel_tol.
     """
     cfg = cfg or FitConfig()
     X = data.points

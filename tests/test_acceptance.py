@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from manifold_recon import bounds, harness, kflats, kmeans, oracle
-from manifold_recon.geometry import Dataset, ManifoldSpec, sample_sphere
+from manifold_recon.geometry import Dataset, ManifoldSpec, sample_sphere, sphere_surface_volume
 from manifold_recon.util import mix_seed
 
 mpmath.mp.dps = 40
@@ -238,7 +238,7 @@ def test_criterion_8_bound_arithmetic():
     balance_ok = True
     for d in (1, 2, 3, 5):
         dn = bounds.holder_density_bound(d)
-        kap = bounds.sphere_curvature(d)
+        kap = sphere_surface_volume(d)
         for n, r in ((200, 32), (10 ** 4, 10)):
             a = bounds.kn_kmeans(n * r, d, dn)
             b = bounds.kn_kmeans(n, d, dn) * r ** (d / (2.0 * (d + 2)))

@@ -14,7 +14,7 @@ from mpmath import mpf
 
 from manifold_recon import bounds
 from manifold_recon.errors import ParameterError
-from manifold_recon.geometry import ManifoldSpec
+from manifold_recon.geometry import ManifoldSpec, sphere_surface_volume
 from manifold_recon.kmeans import FitConfig
 
 mpmath.mp.dps = 40
@@ -33,6 +33,14 @@ def mp_stat_kmeans(n, k, delta):
 
 def mp_stat_kflats(n, k, d, delta):
     return k * mpmath.sqrt(2 * mpmath.pi * d / n) + mpmath.sqrt(mpmath.log(1 / mpf(delta)) / (2 * n))
+
+
+def mp_approx_kmeans(k, d, dn):
+    return mp_quant_const(d) * mpf(k) ** (mpf(-2) / d) * mpf(dn) ** (mpf(d + 2) / d)
+
+
+def mp_approx_kflats(k, d, kap):
+    return mp_quant_const(d, 4) * (mpf(kap) / mpf(k)) ** (mpf(4) / d)
 
 
 def mp_kn_kmeans(n, d, dn):
@@ -61,15 +69,15 @@ FROZEN = [
     (lambda: bounds.stat_kmeans(1, 1, math.exp(-1)), 10.348311948639191),
     (lambda: bounds.holder_density_bound(2), 1.7724538509055160272981674833411),
     (lambda: bounds.holder_density_bound(1), 1.5874010519681994),
-    (lambda: bounds.sphere_curvature(2), 12.566370614359172953850573533118),
+    (lambda: sphere_surface_volume(2), 12.566370614359172953850573533118),
     (lambda: bounds.kn_kmeans(10_000, 2, 1.7724538509055160272981674833411),
      0.9299501525850219634227456358592),
     (lambda: bounds.kn_kflats(10_000, 2, 12.566370614359172953850573533118),
      3.1258300629484807815910817074522),
-    (lambda: bounds.rate_kmeans(10_000, 2, 0.05, 1.7724538509055160272981674833411),
-     1.3693906014016686523311137376135),
-    (lambda: bounds.rate_kflats(10_000, 2, 0.05, 12.566370614359172953850573533118),
-     0.5424588367418035195147386071472),
+    (lambda: bounds.approx_kmeans(8, 2, 1.7724538509055160272981674833411),
+     0.045984930146430294177512390896688),
+    (lambda: bounds.approx_kflats(8, 3, 12.566370614359172953850573533118),
+     0.056336125900185123284529673154447),
     (lambda: bounds.quantization_constant(2), 2.0 / (2.0 * math.pi * math.e)),
     (lambda: bounds.quantization_constant(3, order=4), (3.0 / (2.0 * math.pi * math.e)) ** 2),
 ]
@@ -96,9 +104,12 @@ def test_stat_bounds_match_mpmath(n, k, delta):
 @pytest.mark.parametrize("d", [1, 2, 3, 10])
 def test_schedules_match_mpmath(n, d):
     dn = bounds.holder_density_bound(d)
-    kap = bounds.sphere_curvature(d)
+    kap = sphere_surface_volume(d)
     assert rel_err(bounds.kn_kmeans(n, d, dn), mp_kn_kmeans(n, d, dn)) < REL
     assert rel_err(bounds.kn_kflats(n, d, kap), mp_kn_kflats(n, d, kap)) < REL
+    for k in (1, 7, 100, bounds.kn_kmeans(n, d, dn)):
+        assert rel_err(bounds.approx_kmeans(k, d, dn), mp_approx_kmeans(k, d, dn)) < REL
+        assert rel_err(bounds.approx_kflats(k, d, kap), mp_approx_kflats(k, d, kap)) < REL
 
 
 # -- exact structural identities ---------------------------------------------
@@ -113,10 +124,6 @@ def test_power_law_scalings(d):
                    bounds.kn_kmeans(n, d, dn) * r ** (d / (2.0 * (d + 2)))) < REL
     assert rel_err(bounds.kn_kflats(n * r, d, kap),
                    bounds.kn_kflats(n, d, kap) * r ** (d / (2.0 * (d + 4)))) < REL
-    assert rel_err(bounds.rate_kmeans(n * r, d, 0.05, dn),
-                   bounds.rate_kmeans(n, d, 0.05, dn) * r ** (-1.0 / (d + 2))) < REL
-    assert rel_err(bounds.rate_kflats(n * r, d, 0.05, kap),
-                   bounds.rate_kflats(n, d, 0.05, kap) * r ** (-2.0 / (d + 4))) < REL
     # statistical terms shrink as 1/sqrt(n); approximation terms as k powers
     assert rel_err(bounds.stat_kmeans(4 * n, 5, 0.1),
                    bounds.stat_kmeans(n, 5, 0.1) / 2.0) < REL
@@ -136,21 +143,13 @@ def test_summand_balancing_at_kn(n, d):
     assert rel_err(bounds.approx_kmeans(kn, d, dn),
                    24.0 * math.sqrt(math.pi) * kn / math.sqrt(n)) < 1e-9
 
-    kap = bounds.sphere_curvature(max(d, 1))
+    kap = sphere_surface_volume(d)
     knf = bounds.kn_kflats(n, d, kap)
     assert rel_err(bounds.approx_kflats(knf, d, kap),
                    2.0 * math.sqrt(2.0 * math.pi * d) * knf / math.sqrt(n)) < 1e-9
     # for flats the constant is exactly twice the leading stat summand
     lead = knf * math.sqrt(2.0 * math.pi * d / n)
     assert rel_err(bounds.approx_kflats(knf, d, kap), 2.0 * lead) < 1e-9
-
-
-def test_rate_kmeans_plusplus_exceeds_plain():
-    plain = bounds.rate_kmeans(10 ** 4, 2, 0.05, 1.5)
-    pp = bounds.rate_kmeans(10 ** 4, 2, 0.05, 1.5, plusplus=True)
-    assert pp > plain
-    # the seeding factor contributes at least the bare 16/2 * 2 = 16x core
-    assert pp > 8.0 * plain
 
 
 def test_quantization_constant_order4_is_square():
@@ -180,7 +179,7 @@ def test_decompose_zero_gap():
 
 def test_decompose_kflats_family():
     inp = bounds.BoundInputs(n=500, k=3, d=2, delta=0.05, density_norm=1.0,
-                             curvature=bounds.sphere_curvature(2))
+                             curvature=sphere_surface_volume(2))
     rep = bounds.decompose(0.1, 0.11, inp, family="kflats")
     assert rep.statistical == bounds.stat_kflats(500, 3, 2, 0.05)
     assert rep.approximation == bounds.approx_kflats(3, 2, inp.curvature)
@@ -204,7 +203,7 @@ def test_delta_out_of_range(bad):
     with pytest.raises(ParameterError):
         bounds.stat_kmeans(100, 2, bad)
     with pytest.raises(ParameterError):
-        bounds.rate_kflats(100, 2, bad, 1.0)
+        bounds.stat_kflats(100, 2, 1, bad)
 
 
 def test_invalid_inputs_raise():
@@ -244,10 +243,8 @@ FINITE_FIELDS = {
     "FitConfig.rel_tol": lambda v: FitConfig(rel_tol=v),
     "approx_kmeans": lambda v: bounds.approx_kmeans(4, 2, v),
     "kn_kmeans": lambda v: bounds.kn_kmeans(100, 2, v),
-    "rate_kmeans": lambda v: bounds.rate_kmeans(100, 2, 0.05, v),
     "approx_kflats": lambda v: bounds.approx_kflats(4, 2, v),
     "kn_kflats": lambda v: bounds.kn_kflats(100, 2, v),
-    "rate_kflats": lambda v: bounds.rate_kflats(100, 2, 0.05, v),
 }
 
 

@@ -38,6 +38,10 @@ class Dataset:
             raise ParameterError("points must be a non-empty 2-d array")
         if not np.isfinite(pts).all():
             raise ParameterError("points contain non-finite values")
+        # every squared distance, and every sum of n of them, is <= 4 n D max|x|^2
+        top = float(np.abs(pts).max())
+        if 4.0 * pts.size * top * top > np.finfo(np.float64).max:
+            raise ParameterError("coordinates too large: squared distances overflow float64")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 

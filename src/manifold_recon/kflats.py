@@ -125,20 +125,6 @@ class FlatsModel:
                    iterations=int(obj["iterations"]), seed=int(obj["seed"]))
 
 
-def flat_distance_sq(x: np.ndarray, f: Flat) -> float:
-    """Squared distance from a point to an affine flat.
-
-    ||x - m||^2 - ||B^T (x - m)||^2, clamped at 0 against round-off.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != f.offset.shape:
-        raise ParameterError(
-            f"dimension mismatch: point {x.shape}, flat {f.offset.shape}")
-    r = x - f.offset
-    d2 = float(r @ r - np.square(f.basis.T @ r).sum())
-    return max(d2, 0.0)
-
-
 def _dist2_matrix(X: np.ndarray, flats) -> np.ndarray:
     """(n, k) squared residuals of every point against every flat."""
     n = X.shape[0]

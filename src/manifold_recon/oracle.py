@@ -4,6 +4,12 @@ Every locally-optimal solution is determined by a partition of the points,
 so enumerating all partitions into at most k non-empty groups (restricted
 growth strings) visits the global optimum. Costs are guarded by a Stirling
 count so a mistyped instance refuses instead of hanging.
+
+A group's cost is its best d-flat residual, which by Eckart & Young (1936)
+is the sum of the squared singular values of its centred points past the
+d-th; at d = 0 (k-means) that is the centred sum of squares. Centring first
+keeps the cost exact far from the origin, and the oracle shares no code
+with the fitters it checks.
 """
 
 import math
@@ -14,7 +20,6 @@ import numpy as np
 
 from .errors import EnumerationLimitError, ParameterError
 from .geometry import Dataset
-from .kflats import refit_cell, flat_distance_sq
 
 MAX_N = 12
 MAX_K = 4
@@ -36,11 +41,13 @@ def partition_count(n: int, k_max: int) -> int:
     return sum(stirling2(n, j) for j in range(1, min(k_max, n) + 1))
 
 
-def _check_instance(data: Dataset, k: int, d: int = 0) -> None:
+def _check_instance(data: Dataset, k: int, d: int) -> None:
     if data.size > MAX_N or k > MAX_K or d > MAX_FLAT_DIM:
         raise EnumerationLimitError(
             f"instance exceeds oracle limits (n<= {MAX_N}, k<= {MAX_K}, "
             f"d<= {MAX_FLAT_DIM}); got n={data.size}, k={k}, d={d}")
+    if not (0 <= d <= data.ambient_dim):
+        raise ParameterError(f"need 0 <= d <= D, got d={d}, D={data.ambient_dim}")
     if not (1 <= k <= data.size):
         raise ParameterError(f"need 1 <= k <= n, got k={k}, n={data.size}")
     cost = partition_count(data.size, k)
@@ -68,11 +75,12 @@ def partitions(n: int, k_max: int) -> Iterator[Tuple[int, ...]]:
     yield from rec(0)
 
 
-def _search(data: Dataset, k: int, d: int, group_cost):
-    """Smallest summed `group_cost(mask)` over the partitions into at most k
-    groups, each abandoned once its running sum reaches the best; returns
-    (that sum / n clamped at 0, the first partition attaining it)."""
+def _search(data: Dataset, k: int, d: int):
+    """Smallest summed group cost over the partitions into at most k groups,
+    each abandoned once its running sum reaches the best; returns (that sum
+    / n, the first partition attaining it)."""
     _check_instance(data, k, d)
+    X = data.points
     n = data.size
     best_cost = math.inf
     best_part = None
@@ -80,13 +88,18 @@ def _search(data: Dataset, k: int, d: int, group_cost):
         labels = np.asarray(part)
         cost = 0.0
         for g in range(labels.max() + 1):
-            cost += group_cost(labels == g)
+            R = X[labels == g]
+            R = R - R.mean(axis=0)
+            if d == 0:  # the same sum, without an SVD
+                cost += float(np.einsum("ij,ij->", R, R))
+            else:
+                cost += float(np.square(np.linalg.svd(R, compute_uv=False)[d:]).sum())
             if cost >= best_cost:
                 break
         if cost < best_cost:
             best_cost = cost
             best_part = part
-    return max(best_cost, 0.0) / n, best_part
+    return best_cost / n, best_part
 
 
 def global_kmeans(data: Dataset, k: int):
@@ -96,23 +109,9 @@ def global_kmeans(data: Dataset, k: int):
     tuple. Deterministic and seed-free; allowing fewer than k non-empty
     groups covers degenerate optima.
     """
-    X = data.points
-    sq = np.einsum("ij,ij->i", X, X)
-
-    def cost(idx):
-        m = X[idx].mean(axis=0)
-        return float(sq[idx].sum() - idx.sum() * (m @ m))
-
-    return _search(data, k, 0, cost)
+    return _search(data, k, 0)
 
 
 def global_kflats(data: Dataset, k: int, d: int):
-    """Exact k-flats optimum by partition enumeration with per-group PCA."""
-    X = data.points
-
-    def cost(idx):
-        grp = X[idx]
-        f = refit_cell(grp, d)
-        return sum(flat_distance_sq(x, f) for x in grp)
-
-    return _search(data, k, d, cost)
+    """Exact k-flats optimum by partition enumeration, as `global_kmeans`."""
+    return _search(data, k, d)

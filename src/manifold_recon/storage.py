@@ -55,7 +55,7 @@ def read_csv_dataset(path) -> Dataset:
 
 
 def _dataset(path, pts) -> Dataset:
-    """Dataset(pts); an empty or non-finite file is a DataFormatError."""
+    """Dataset(pts); an empty, non-finite or too-large file is a DataFormatError."""
     try:
         return Dataset(pts)
     except ParameterError as exc:

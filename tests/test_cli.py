@@ -84,6 +84,7 @@ BAD_FILES = {
     "trailing.mrc1": _mrc1(2, 2, [0.0, 1.0, 0.5, 0.5], extra=b"\0"),
     "empty.csv": b"",
     "nan.csv": b"0.1,0.2\nnan,0.3\n",
+    "huge.csv": b"1e200,0\n-1e200,0\n",
 }
 
 

@@ -31,3 +31,20 @@ def unused_imports(source: str) -> set:
 def test_every_import_is_used(path):
     unused = unused_imports(path.read_text(encoding="utf-8"))
     assert unused - {name for module, name in TRACED if module == path.stem} == set()
+
+
+def imported_names(source: str) -> set:
+    """Every module path component and name an import statement mentions."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            names.update(node.module.split("."))
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(part for a in node.names for part in a.name.split("."))
+    return names
+
+
+def test_oracle_shares_no_code_with_the_fitters():
+    # the brute-force reference must not reuse what it checks
+    oracle = Path(manifold_recon.__file__).parent / "oracle.py"
+    assert imported_names(oracle.read_text(encoding="utf-8")) & {"kmeans", "kflats", "util"} == set()

@@ -24,7 +24,7 @@ def test_refit_line_through_points_is_exact():
     pts = np.array([1.0, 0.5, -0.25]) + np.outer(t, direction)
     f = kflats.refit_cell(pts, 1)
     assert not f.degenerate.any()
-    assert max(kflats.flat_distance_sq(x, f) for x in pts) < 1e-13
+    assert kflats._dist2_matrix(pts, [f]).max() < 1e-13
     # basis spans the line direction (sign-free)
     assert abs(abs(f.basis[:, 0] @ direction) - 1.0) < 1e-12
 
@@ -37,14 +37,14 @@ def test_refit_square_corners_tied_spectrum():
     f = kflats.refit_cell(pts, 1)
     assert np.allclose(f.offset, 0.0)
     assert abs(np.linalg.norm(f.basis[:, 0]) - 1.0) < 1e-12
-    total = sum(kflats.flat_distance_sq(x, f) for x in pts)
+    total = kflats._dist2_matrix(pts, [f]).sum()
     assert abs(total - 4.0) < 1e-12
     # and the objective is invariant under the choice of unit direction
     for theta in np.linspace(0.0, np.pi, 7):
         g = kflats.Flat(offset=np.zeros(2),
                         basis=np.array([[np.cos(theta)], [np.sin(theta)]]),
                         degenerate=np.zeros(1, dtype=bool))
-        assert abs(sum(kflats.flat_distance_sq(x, g) for x in pts) - 4.0) < 1e-12
+        assert abs(kflats._dist2_matrix(pts, [g]).sum() - 4.0) < 1e-12
 
 
 def test_refit_rank_deficient_cell_gets_degenerate_columns():
@@ -64,12 +64,12 @@ def test_flat_distance_matches_projection_formula():
     B, _ = np.linalg.qr(rng.normal(size=(5, 2)))
     f = kflats.Flat(offset=rng.normal(size=5), basis=B,
                     degenerate=np.zeros(2, dtype=bool))
-    for _ in range(20):
-        x = rng.normal(size=5)
+    X = rng.normal(size=(20, 5))
+    for x, d2 in zip(X, kflats._dist2_matrix(X, [f])[:, 0]):
         r = x - f.offset
         proj = B @ (B.T @ r)
-        assert abs(kflats.flat_distance_sq(x, f) - float((r - proj) @ (r - proj))) < 1e-12
-    assert kflats.flat_distance_sq(f.offset, f) == 0.0
+        assert abs(d2 - float((r - proj) @ (r - proj))) < 1e-12
+    assert kflats._dist2_matrix(f.offset[None], [f])[0, 0] == 0.0
 
 
 def test_distance_invariant_under_basis_rotation():
@@ -80,9 +80,8 @@ def test_distance_invariant_under_basis_rotation():
     Q = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
     f1 = kflats.Flat(offset=np.zeros(4), basis=B, degenerate=np.zeros(2, dtype=bool))
     f2 = kflats.Flat(offset=np.zeros(4), basis=B @ Q, degenerate=np.zeros(2, dtype=bool))
-    for _ in range(10):
-        x = rng.normal(size=4)
-        assert abs(kflats.flat_distance_sq(x, f1) - kflats.flat_distance_sq(x, f2)) < 1e-12
+    d2 = kflats._dist2_matrix(rng.normal(size=(10, 4)), [f1, f2])
+    assert np.abs(d2[:, 0] - d2[:, 1]).max() < 1e-12
 
 
 def test_flat_validation():
@@ -186,13 +185,13 @@ def test_fit_properties(X, k, seed):
 def test_refit_is_optimal_among_random_flats(X, d):
     """PCA refit beats any random flat with the same offset freedom."""
     f = kflats.refit_cell(X, d)
-    best = sum(kflats.flat_distance_sq(x, f) for x in X)
+    best = kflats._dist2_matrix(X, [f]).sum()
     rng = np.random.default_rng(0)
     for _ in range(5):
         B, _ = np.linalg.qr(rng.normal(size=(X.shape[1], d)))
         g = kflats.Flat(offset=X.mean(axis=0), basis=B,
                         degenerate=np.zeros(d, dtype=bool))
-        rival = sum(kflats.flat_distance_sq(x, g) for x in X)
+        rival = kflats._dist2_matrix(X, [g]).sum()
         assert best <= rival + 1e-9
 
 

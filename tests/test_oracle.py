@@ -72,6 +72,27 @@ def test_limits_enforced():
         oracle.global_kmeans(small, 0)
 
 
+def test_flat_dim_out_of_range():
+    with pytest.raises(ParameterError):
+        oracle.global_kflats(Dataset(np.zeros((5, 2))), 2, -1)
+    with pytest.raises(ParameterError):
+        oracle.global_kflats(Dataset(np.zeros((5, 1))), 2, 2)
+
+
+@pytest.mark.parametrize("D, k, d", [(2, 2, 0), (3, 2, 1)])
+def test_oracle_is_translation_invariant(D, k, d):
+    """Shifting the points far from the origin moves neither the optimal
+    partition nor, beyond round-off, the optimum."""
+    X = np.random.default_rng(0).uniform(-0.5, 0.5, (8, D))
+    search = oracle.global_kmeans if d == 0 else oracle.global_kflats
+    shape = (k,) if d == 0 else (k, d)
+    obj0, part0 = search(Dataset(X), *shape)
+    for shift in (1e3, 1e6):
+        obj, part = search(Dataset(X + shift), *shape)
+        assert part == part0
+        assert abs(obj - obj0) < 1e-9
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(4, 9), st.integers(1, 3), st.integers(0, 10 ** 6))
 def test_fit_never_beats_oracle(n, k, seed):
@@ -93,18 +114,25 @@ def test_kflats_fit_never_beats_oracle(n, k, seed):
 
 
 def test_oracle_matches_exhaustive_center_evaluation():
-    """Independent route: evaluate every partition directly with the
-    plain per-group variance formula, no incremental shortcuts."""
+    """Independent route: evaluate every partition directly, with the plain
+    per-group variance for k-means and, for k-flats (d = 1), the sum of the
+    D - d smallest eigenvalues of each group's scatter matrix R^T R."""
     rng = np.random.default_rng(3)
     X = rng.normal(size=(7, 2))
-    for k in (1, 2, 3):
-        best = math.inf
-        for part in oracle.partitions(7, k):
-            labels = np.asarray(part)
-            cost = 0.0
-            for g in range(labels.max() + 1):
-                grp = X[labels == g]
-                cost += float(np.sum((grp - grp.mean(axis=0)) ** 2))
-            best = min(best, cost / 7)
-        obj, _ = oracle.global_kmeans(Dataset(X), k)
-        assert abs(obj - best) < 1e-12
+    Y = rng.normal(size=(7, 3))
+    cases = [(X, 0, lambda R: float(np.sum(R ** 2))),
+             # the D - d = 2 smallest (eigvalsh sorts ascending)
+             (Y, 1, lambda R: float(np.linalg.eigvalsh(R.T @ R)[:2].sum()))]
+    for Z, d, group_cost in cases:
+        for k in (1, 2, 3):
+            best = math.inf
+            for part in oracle.partitions(7, k):
+                labels = np.asarray(part)
+                cost = 0.0
+                for g in range(labels.max() + 1):
+                    grp = Z[labels == g]
+                    cost += group_cost(grp - grp.mean(axis=0))
+                best = min(best, cost / 7)
+            obj, _ = (oracle.global_kflats(Dataset(Z), k, d) if d
+                      else oracle.global_kmeans(Dataset(Z), k))
+            assert abs(obj - best) < 1e-12

@@ -15,8 +15,9 @@ same way. The parent is named by the commit ``--parent-rev`` and its
 git (``HEAD:src`` once it is committed). The numpy and
 OpenBLAS versions and ``nproc`` are this interpreter's and machine's, so
 run the script where the runs ran. BLAS runs on one thread in every run
-(``run.py`` pins it); the harness threads are read from each workload's
-make-up in ``perfbench/workloads.py``.
+(``run.py`` pins it); the harness threads (the number of worker processes
+the harness forks for the grid) are read from each workload's make-up in
+``perfbench/workloads.py``.
 """
 
 import argparse
@@ -80,8 +81,8 @@ def failed_share(runs, seeds):
 
 
 def harness_threads():
-    """Harness thread count per workload, from its full-size make-up line;
-    None where the workload runs no harness thread pool."""
+    """Harness `threads` per workload, from its full-size make-up line;
+    None where the workload runs no harness grid."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     import workloads
     found = {}

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bounds, harness, kflats, kmeans, oracle, storage
-from .errors import DataFormatError, ParameterError
+from .errors import DataFormatError, ParameterError, WorkerError
 from .geometry import Dataset, ManifoldSpec, load_mnist
 from .kmeans import FitConfig
 from .util import mix_seed
@@ -71,7 +71,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--repeats", type=int, default=repeats)
         sp.add_argument("--holdout-size", type=int, default=100_000)
         sp.add_argument("--restarts", type=int, default=_FIT.restarts)
-        sp.add_argument("--threads", type=int, default=1)
+        sp.add_argument("--threads", type=int, default=1,
+                        help="worker processes for the grid's cells, each with "
+                             "one BLAS thread; 1 runs them in this process")
         return sp
 
     sp = cmd("sample", help="draw a synthetic dataset and write the container")
@@ -309,7 +311,8 @@ def main(argv=None) -> int:
     except (DataFormatError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (ParameterError, ArithmeticError, np.linalg.LinAlgError) as exc:
+    except (ParameterError, ArithmeticError, np.linalg.LinAlgError,
+            WorkerError) as exc:
         print(f"compute error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
 

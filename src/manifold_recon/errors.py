@@ -11,3 +11,7 @@ class DataFormatError(ValueError):
 
 class EnumerationLimitError(ParameterError):
     """Brute-force instance exceeds the enumeration budget."""
+
+
+class WorkerError(RuntimeError):
+    """A worker process ended without returning its results."""

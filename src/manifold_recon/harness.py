@@ -4,14 +4,17 @@ the two-sample high-dimension example, and convergence-rate fits.
 Every grid cell derives its own seed as mix_seed(base_seed, n, k, repeat),
 and the shared hold-out sample uses mix_seed(base_seed, HOLDOUT_TAG), so
 reports are deterministic given (spec, base_seed) and cells may run
-concurrently in any order. A report writes no file: `ExperimentReport.files`
+in any order, in any process. A report writes no file: `ExperimentReport.files`
 renders `summary.json`, `report.csv`, `curves.tsv` and, with a rate fit,
 `loglog.tsv` by name, and the caller writes them.
 """
 
+import ctypes
+import glob
 import math
+import os
+import pickle
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -19,7 +22,7 @@ import numpy as np
 
 from . import kflats, kmeans
 from .bounds import BoundInputs, BoundReport, decompose, kn_kflats, kn_kmeans
-from .errors import ParameterError
+from .errors import ParameterError, WorkerError
 from .geometry import Dataset, ManifoldSpec, sample_sphere
 from .kmeans import FitConfig
 # fsum_mean and min_sqdist are unused here, but perfbench/layers.py traces them
@@ -30,10 +33,17 @@ HOLDOUT_TAG = 0xB01D0071
 TRAIN_TAG = 0x7E57A11
 ALGORITHMS = ("kmeans", "kmeanspp-seed", "kflats")
 BOUND_DELTA = 0.05  # confidence parameter of the bound rows
+# numpy's wheels bundle OpenBLAS as numpy.libs/libscipy_openblas64_-<hash>.so
+OPENBLAS_LIBRARY = "libscipy_openblas64_*"
+OPENBLAS_SET_THREADS = "scipy_openblas_set_num_threads64_"
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
+    """One experiment grid. `threads` is the number of worker processes its
+    cells run in, each forked with BLAS pinned to one thread; at 1, or
+    where `os.fork` does not exist, the cells run serially in this process.
+    Rows are the same bit for bit at any value."""
     manifold: ManifoldSpec
     train_sizes: Sequence[int]
     k_grid: Union[Sequence[int], str]   # explicit grid or "auto" (balanced schedule)
@@ -180,26 +190,105 @@ def _run_cell(spec: ExperimentSpec, holdout: Dataset, n: int, k: int,
     }
 
 
+def _blas_threads_setter():
+    """numpy's bundled OpenBLAS `set_num_threads(int)`, or a no-op where that
+    library or its symbol is missing (another BLAS, or no `numpy.libs`)."""
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
+                                  "numpy.libs", OPENBLAS_LIBRARY))
+    try:
+        setter = getattr(ctypes.CDLL(libs[0]), OPENBLAS_SET_THREADS)
+    except (IndexError, OSError, AttributeError):
+        return lambda threads: None
+    setter.argtypes, setter.restype = [ctypes.c_int], None
+    return setter
+
+
+def _run_forked(job, parts) -> list:
+    """[job(part) for part in parts], each part in its own forked worker
+    process with BLAS pinned to one thread, so that workers share no lock
+    and do not oversubscribe the CPUs. An exception a part raises is raised
+    here with its type and message; a worker that dies raises WorkerError.
+    Every worker is reaped before this returns or raises."""
+    import signal  # here, so that the serial path does not load it
+
+    set_blas_threads = _blas_threads_setter()
+    workers = []  # (pid, read end of its pipe) of every worker not yet reaped
+    try:
+        for part in parts:
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                code = 1
+                try:
+                    set_blas_threads(1)
+                    try:
+                        out = (True, job(part))
+                    except Exception as exc:
+                        out = (False, exc)
+                    with open(w, "wb") as pipe:
+                        pickle.dump(out, pipe)
+                    code = 0
+                finally:
+                    os._exit(code)  # never return into the parent's stack
+            os.close(w)
+            workers.append((pid, open(r, "rb")))
+        results = []
+        while workers:
+            pid, pipe = workers[0]
+            with pipe:
+                payload = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            workers.pop(0)
+            if code != 0:
+                how = (f"was killed by signal {-code}" if code < 0
+                       else f"exited with code {code}")
+                raise WorkerError(f"a worker process {how} before returning its rows")
+            ok, value = pickle.loads(payload)
+            if not ok:
+                raise value
+            results.append(value)
+        return results
+    finally:
+        for pid, pipe in workers:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def _run_cells(spec: ExperimentSpec,
                cells: Sequence[Tuple[int, int, int]]) -> Tuple[List[dict], int]:
     """Rows of the (n, k, repeat) cells, in the order given, scored on the
-    shared hold-out sample, plus their summed descent violations; the cells
-    run on a pool of `spec.threads` threads when that is above 1."""
+    shared hold-out sample, plus their summed descent violations.
+
+    With `spec.threads` above 1 the cells run in min(threads, cells) forked
+    worker processes, worker w taking cells w, w + workers, ...; at 1, or
+    where `os.fork` does not exist, they run serially in this process.
+    """
     holdout = spec.manifold.sample(spec.holdout_size,
                                    mix_seed(spec.base_seed, HOLDOUT_TAG))
 
-    def run(cell):
-        n, k, rep = cell
-        try:
-            return _run_cell(spec, holdout, n, k, rep)
-        except Exception as exc:
-            raise type(exc)(f"cell (n={n}, k={k}, repeat={rep}): {exc}") from exc
+    def run(part):
+        rows = []
+        for n, k, rep in part:
+            try:
+                rows.append(_run_cell(spec, holdout, n, k, rep))
+            except Exception as exc:
+                raise type(exc)(f"cell (n={n}, k={k}, repeat={rep}): {exc}") from exc
+        return rows
 
-    if spec.threads > 1:
-        with ThreadPoolExecutor(max_workers=spec.threads) as pool:
-            rows = list(pool.map(run, cells))
+    workers = min(spec.threads, len(cells))
+    if workers > 1 and hasattr(os, "fork"):
+        rows = [None] * len(cells)
+        parts = [cells[w::workers] for w in range(workers)]
+        for w, part_rows in enumerate(_run_forked(run, parts)):
+            rows[w::workers] = part_rows
     else:
-        rows = [run(c) for c in cells]
+        rows = run(cells)
     return rows, sum(r.pop("descent_violations") for r in rows)
 
 

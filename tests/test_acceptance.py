@@ -37,7 +37,8 @@ def report(num: int, ok: bool, detail: str) -> bool:
 def tradeoff_n50():
     spec = harness.ExperimentSpec(
         manifold=S19, train_sizes=[50], k_grid=list(range(2, 41)),
-        holdout_size=20_000, algorithm="kmeans", repeats=5, base_seed=3)
+        holdout_size=20_000, algorithm="kmeans", repeats=5, base_seed=3,
+        threads=2)
     return harness.tradeoff_experiment(spec)
 
 
@@ -45,7 +46,8 @@ def tradeoff_n50():
 def tradeoff_n5000():
     spec = harness.ExperimentSpec(
         manifold=S19, train_sizes=[5000], k_grid=list(range(2, 41)),
-        holdout_size=20_000, algorithm="kmeans", repeats=1, base_seed=3)
+        holdout_size=20_000, algorithm="kmeans", repeats=1, base_seed=3,
+        threads=2)
     return harness.tradeoff_experiment(spec)
 
 
@@ -210,11 +212,12 @@ def test_criterion_7_rate_fits():
     sizes = [100, 1000, 10_000, 100_000]
     km_spec = harness.ExperimentSpec(
         manifold=CIRCLE, train_sizes=sizes, k_grid="auto",
-        holdout_size=20_000, algorithm="kmeans", repeats=2, base_seed=11)
+        holdout_size=20_000, algorithm="kmeans", repeats=2, base_seed=11,
+        threads=2)
     kf_spec = harness.ExperimentSpec(
         manifold=CIRCLE, train_sizes=sizes, k_grid="auto",
         holdout_size=20_000, algorithm="kflats", flat_dim=1, repeats=2,
-        base_seed=11)
+        base_seed=11, threads=2)
     km_slope = harness.rate_experiment(km_spec).rate_fit.slope
     kf_slope = harness.rate_experiment(kf_spec).rate_fit.slope
     ok = km_slope <= -0.1667 and kf_slope < km_slope

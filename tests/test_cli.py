@@ -1,12 +1,13 @@
 """Command-line interface: artifacts, exit codes, config merging."""
 
 import json
+import os
 import struct
 
 import numpy as np
 import pytest
 
-from manifold_recon import cli, storage
+from manifold_recon import cli, harness, storage
 from manifold_recon.geometry import ManifoldSpec
 from manifold_recon.kmeans import MeansModel
 
@@ -396,6 +397,17 @@ def test_non_finite_or_count_below_one_is_compute_error(tmp_path, capsys, argv):
     assert run(*argv, "--out", str(out)) == cli.EXIT_COMPUTE
     assert capsys.readouterr().err.startswith("compute error:")
     assert list(out.iterdir()) == []
+
+
+def test_dead_worker_is_compute_error(tmp_path, capsys, monkeypatch):
+    # forked workers inherit the patch, so each dies in its first cell
+    monkeypatch.setattr(harness, "_run_cell", lambda *cell: os._exit(7))
+    assert run(*TRADEOFF, "--threads", "2", "--out", str(tmp_path)) == cli.EXIT_COMPUTE
+    err = capsys.readouterr().err
+    assert err.startswith("compute error: a worker process exited with code 7 ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    with pytest.raises(ChildProcessError):  # every worker was reaped
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("command", ["sample", "fit-kmeans", "tradeoff"])

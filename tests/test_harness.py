@@ -3,6 +3,9 @@
 import csv
 import json
 import math
+import os
+import pickle
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from manifold_recon import harness, kmeans
-from manifold_recon.errors import ParameterError
+from manifold_recon.errors import ParameterError, WorkerError
 from manifold_recon.geometry import ManifoldSpec, sample_sphere
 from manifold_recon.util import mix_seed
 
@@ -236,20 +239,20 @@ def test_rate_experiment_is_the_auto_grid(schedule):
 
 
 def test_rates_and_select_k_honour_threads(monkeypatch):
-    pools = []
+    workers = []
+    run_forked = harness._run_forked
 
-    class RecordingPool(harness.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers=max_workers)
+    def recording(job, parts):
+        workers.append(len(parts))
+        return run_forked(job, parts)
 
-    monkeypatch.setattr(harness, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(harness, "_run_forked", recording)
 
     spec = small_spec(train_sizes=[50, 200, 1000, 5000], k_grid="auto", repeats=2)
     serial = harness.rate_experiment(spec)
-    assert pools == []
+    assert workers == []
     threaded = harness.rate_experiment(replace(spec, threads=2))
-    assert pools == [2]
+    assert workers == [2]
     assert without_seconds(threaded.rows) == without_seconds(serial.rows)
     assert threaded.rate_fit == serial.rate_fit
 
@@ -259,7 +262,72 @@ def test_rates_and_select_k_honour_threads(monkeypatch):
     k_threaded, threaded = harness.select_k(replace(spec, threads=2))
     assert k_threaded == k_serial
     assert without_seconds(threaded.rows) == without_seconds(serial.rows)
-    assert pools == [2, 2]
+    # never more workers than cells
+    harness.tradeoff_experiment(small_spec(k_grid=[2], repeats=2, threads=8))
+    assert workers == [2, 2, 2]
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_worker_cell_failure_matches_serial():
+    # k = 50 exceeds n = 40; the first such cell, repeat 0, is worker 0's
+    errors = []
+    for threads in (1, 2):
+        with pytest.raises(ParameterError) as err:
+            harness.tradeoff_experiment(small_spec(k_grid=[1, 2, 50, 3],
+                                                   threads=threads))
+        errors.append(err.value)
+        assert_no_child_left()
+    serial, forked = errors
+    assert type(forked) is type(serial)
+    assert str(forked) == str(serial)
+    assert str(forked).startswith("cell (n=40, k=50, repeat=0): ")
+
+
+def test_dead_worker_is_a_clear_error(monkeypatch):
+    run_cell = harness._run_cell
+
+    def dies_or_stalls_at_k3(spec, holdout, n, k, rep):
+        if k == 3:
+            if rep == 0:
+                os._exit(7)
+            time.sleep(60)
+        return run_cell(spec, holdout, n, k, rep)
+
+    # forked workers inherit the patch: worker 0 dies at cell (k=3, repeat=0)
+    # while worker 1 stalls in (k=3, repeat=1), and must be stopped
+    monkeypatch.setattr(harness, "_run_cell", dies_or_stalls_at_k3)
+    t0 = time.perf_counter()
+    with pytest.raises(WorkerError, match="^a worker process exited with code 7 "):
+        harness.tradeoff_experiment(small_spec(k_grid=[1, 2, 3, 4], threads=2))
+    assert time.perf_counter() - t0 < 30
+    assert_no_child_left()
+
+
+def test_rows_larger_than_a_pipe_buffer_come_back_in_order():
+    spec = small_spec(train_sizes=[20], k_grid=[1, 2, 3], repeats=1000,
+                      fit_config=kmeans.FitConfig(restarts=1))
+    serial = harness.tradeoff_experiment(spec)
+    forked = harness.tradeoff_experiment(replace(spec, threads=2))
+    # each worker's rows fill more than the 64 KiB of a Linux pipe
+    assert len(pickle.dumps(serial.rows[::2])) > 2 ** 16
+    assert [(r["k"], r["repeat"]) for r in forked.rows] == \
+        [(k, rep) for k in (1, 2, 3) for rep in range(1000)]
+    assert without_seconds(forked.rows) == without_seconds(serial.rows)
+    assert_no_child_left()
+
+
+def test_blas_pin_is_a_no_op_without_the_library(monkeypatch):
+    # the real symbol where numpy bundles OpenBLAS, else the no-op
+    setter = harness._blas_threads_setter()
+    assert setter.__name__ in (harness.OPENBLAS_SET_THREADS, "<lambda>")
+    monkeypatch.setattr(harness, "OPENBLAS_SET_THREADS", "no_such_symbol")
+    assert harness._blas_threads_setter()(1) is None
+    monkeypatch.setattr(harness, "OPENBLAS_LIBRARY", "libno_such_blas*")
+    assert harness._blas_threads_setter()(1) is None
 
 
 def test_holdout_error_type_dispatch():

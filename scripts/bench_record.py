@@ -17,7 +17,10 @@ OpenBLAS versions and ``nproc`` are this interpreter's and machine's, so
 run the script where the runs ran. BLAS runs on one thread in every run
 (``run.py`` pins it); the harness threads (the number of worker processes
 the harness forks for the grid) are read from each workload's make-up in
-``perfbench/workloads.py``.
+``perfbench/workloads.py``. For each side the record also says whether its
+checkout (three levels above each result file) holds ``__pycache__`` under
+``src/`` or ``perfbench/``: a side without them compiles the package in
+every timed set-up, which moves ``setup_s`` by about 15 %.
 """
 
 import argparse
@@ -80,6 +83,16 @@ def failed_share(runs, seeds):
     return {"failed": failed, "attempted": attempted}
 
 
+def bytecode_caches(paths):
+    """Whether the checkouts that wrote these result files, found at
+    ``<root>/perfbench/results/``, hold ``__pycache__`` under each of
+    ``src/`` and ``perfbench/``."""
+    roots = {Path(p).resolve().parents[2] for p in paths}
+    return {top: any(next((root / top).rglob("__pycache__"), None) is not None
+                     for root in roots)
+            for top in ("src", "perfbench")}
+
+
 def harness_threads():
     """Harness `threads` per workload, from its full-size make-up line;
     None where the workload runs no harness grid."""
@@ -106,8 +119,10 @@ def main(argv=None):
                    "--seconds 27 --trace T",
         "quartiles": "statistics.quantiles(n=4, method='inclusive')",
         "parent": {"commit": git("rev-parse", f"{args.parent_rev}^{{commit}}"),
-                   "src_tree": git("rev-parse", f"{args.parent_rev}:src")},
-        "change": {"src_tree": git("write-tree", "--prefix=src/")},
+                   "src_tree": git("rev-parse", f"{args.parent_rev}:src"),
+                   "bytecode_caches": bytecode_caches(args.parent)},
+        "change": {"src_tree": git("write-tree", "--prefix=src/"),
+                   "bytecode_caches": bytecode_caches(args.change)},
         "numpy": np.__version__,
         "blas": f"{blas['name']} {blas['version']}",
         "nproc": os.cpu_count(),

@@ -6,8 +6,11 @@ squared residual. Rank-deficient cells get explicit zero basis columns
 flagged degenerate, so the alternation is total. The model protocol, the
 evaluator (`empirical_error`), the alternation and the restarts are those of
 k-means; k-flats supplies `_nearest_flat`, the argmin of `_dist2_matrix`, as
-the assignment, per-cell `refit_cell` as the update, and as the start the
-PCA of the Voronoi cells of k-means++ point seeds.
+the assignment, `_refit_cells` as the update, and as the start the PCA of the
+Voronoi cells of k-means++ point seeds (`refit_cell` per cell). The update
+takes every offset from the k-means cell update `_cell_means`, which equals
+`refit_cell`'s `mean(axis=0)` bit for bit for D >= 2; at D = 1 the two sum
+in different orders and the offsets may differ by rounding.
 """
 
 from dataclasses import dataclass, field, replace
@@ -18,8 +21,8 @@ import numpy as np
 
 from .errors import ParameterError
 from .geometry import Dataset
-from .kmeans import (FitConfig, _best_of_restarts, _descend, empirical_error,
-                     seed_kmeanspp)
+from .kmeans import (FitConfig, _best_of_restarts, _cell_means, _descend,
+                     empirical_error, seed_kmeanspp)
 # fsum_mean is unused here, but perfbench/layers.py traces it under this
 # module and its tracer test getattr()s every target, so it must stay
 from .util import fsum_mean, min_sqdist
@@ -141,7 +144,9 @@ def refit_cell(points: np.ndarray, d: int) -> Flat:
 
     Cells of rank r < d yield d - r explicit zero columns flagged
     degenerate. Raises on an empty cell; the caller owns the empty-cell
-    policy.
+    policy. The offset is `mean(axis=0)`, which for D >= 2 equals the
+    k-means cell update `_cell_means` that `_refit_cells` uses, bit for bit
+    (at D = 1 numpy sums pairwise, so the two differ by rounding).
     """
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if pts.shape[0] < 1:
@@ -149,12 +154,16 @@ def refit_cell(points: np.ndarray, d: int) -> Flat:
     D = pts.shape[1]
     if not (0 <= d <= D):
         raise ParameterError(f"need 0 <= d <= D, got d={d}, D={D}")
-    offset = pts.mean(axis=0)
-    basis = np.zeros((D, d))
+    return _flat_about(pts, pts.mean(axis=0), d)
+
+
+def _flat_about(pts: np.ndarray, offset: np.ndarray, d: int) -> Flat:
+    """The top-d principal directions of the non-empty cell `pts` about
+    `offset`, its mean."""
+    basis = np.zeros((pts.shape[1], d))
     rank = 0
     if d > 0 and pts.shape[0] > 1:
-        centered = pts - offset
-        _, s, vt = np.linalg.svd(centered, full_matrices=False)
+        _, s, vt = np.linalg.svd(pts - offset, full_matrices=False)
         if s.size and s[0] > 0.0:
             tol = s[0] * max(pts.shape) * np.finfo(np.float64).eps
             rank = min(d, int(np.count_nonzero(s > tol)))
@@ -172,8 +181,10 @@ def _nearest_flat(X: np.ndarray, flats):
 
 def _refit_cells(X: np.ndarray, assign: np.ndarray, counts: np.ndarray,
                  d: int) -> list:
-    """k-flats cell update: the d-truncated PCA of every cell."""
-    return [refit_cell(X[assign == j], d) for j in range(counts.size)]
+    """k-flats cell update: the d-truncated PCA of every cell, about the
+    k-means cell update's means."""
+    return [_flat_about(np.compress(assign == j, X, axis=0), offset, d)
+            for j, offset in enumerate(_cell_means(X, assign, counts))]
 
 
 def fit(data: Dataset, k: int, d: int, cfg: Optional[FitConfig] = None,
@@ -191,8 +202,8 @@ def fit(data: Dataset, k: int, d: int, cfg: Optional[FitConfig] = None,
 
     def start(s):
         d2, assign = min_sqdist(X, seed_kmeanspp(data, k, s))
-        cells = [X[assign == j] for j in range(k)]
-        far = X[[int(np.argmax(d2))]]
+        far = X[int(np.argmax(d2))]
+        cells = (np.compress(assign == j, X, axis=0) for j in range(k))
         return [refit_cell(cell if len(cell) else far, d) for cell in cells]
 
     flats, obj, iters, violations = _best_of_restarts(

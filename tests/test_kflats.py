@@ -4,14 +4,14 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from manifold_recon import kflats
 from manifold_recon.errors import ParameterError
 from manifold_recon.geometry import Dataset, sample_flat_disk, sample_sphere
-from manifold_recon.kmeans import FitConfig
+from manifold_recon.kmeans import FitConfig, _cell_means
 
 clouds = arrays(
     np.float64, st.tuples(st.integers(3, 20), st.integers(2, 4)),
@@ -101,6 +101,21 @@ def test_fit_recovers_flat_data_exactly():
     m = kflats.fit(ds, 1, 2, FitConfig(restarts=3), seed=2)
     assert m.objective < 1e-12
     assert kflats.refit_residual(ds, m) < 1e-20
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("X, k", [
+    (np.tile([1.5, -2.0, 0.25], (6, 1)), 2),
+    (np.array([[1.0, 2.0], [1.0, 2.0], [-0.5, 4.0], [1.0, 2.0], [-0.5, 4.0]]), 3),
+], ids=["identical-rows", "two-values"])
+def test_fit_start_with_empty_voronoi_cells(X, k, seed):
+    # duplicate k-means++ seeds leave a Voronoi cell of the start empty, so
+    # the start refits it on the point farthest from the seeds
+    m = kflats.fit(Dataset(X), k, 1, FitConfig(restarts=3), seed=seed)
+    assert m.objective == 0.0
+    assert len(m.flats) == k
+    for f in m.flats:
+        assert any(np.array_equal(f.offset, row) for row in X)
 
 
 def test_fit_two_parallel_lines():
@@ -214,3 +229,51 @@ def test_refit_basis_meets_eigen_residual_contract(n, D, rank, seed):
         for v in f.basis[:, ~f.degenerate].T:
             lam = v @ cov @ v
             assert np.linalg.norm(cov @ v - lam * v) <= kflats.EIG_RESIDUAL_TOL * cov_norm
+
+
+@st.composite
+def labelled_clouds(draw):
+    """(X, assign) with D >= 2: rows drawn with repeats from a small pool
+    (so duplicate rows and rank-deficient cells are common), the cloud
+    shifted by 0 or +-1e6, and every label in 0..k-1 used."""
+    D = draw(st.integers(2, 6))
+    pool = draw(arrays(np.float64, st.tuples(st.integers(1, 8), st.just(D)),
+                       elements=st.floats(-5, 5, allow_nan=False, width=64)))
+    rows = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=40))
+    labels = draw(st.lists(st.integers(0, 3), min_size=len(rows),
+                           max_size=len(rows)))
+    shift = draw(st.sampled_from([0.0, 1e6, -1e6]))
+    return pool[rows] + shift, np.unique(labels, return_inverse=True)[1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(labelled_clouds())
+@example((np.array([[1e6, 1e6], [1e6, 1e6], [1e6 + 1, 1e6 - 2], [3.0, 4.0]]),
+          np.array([0, 0, 0, 1])))
+def test_refit_cells_match_refit_cell_bit_for_bit(cloud):
+    """The cell update's offsets come from `_cell_means`, yet every flat is
+    the one `refit_cell` gives on the masked cell, for every d in 0..D."""
+    X, assign = cloud
+    counts = np.bincount(assign)
+    for d in range(X.shape[1] + 1):
+        for j, f in enumerate(kflats._refit_cells(X, assign, counts, d)):
+            want = kflats.refit_cell(X[assign == j], d)
+            assert np.array_equal(f.offset, want.offset)
+            assert np.array_equal(f.basis, want.basis)
+            assert np.array_equal(f.degenerate, want.degenerate)
+
+
+def test_refit_cells_offset_is_sequential_sum_at_d1():
+    # at D = 1 numpy's mean sums the one column pairwise (5/9 here), while
+    # the cell update sums it in row order (6/9); the offset is the latter
+    col = np.array([1e16, 1.0, -1e16, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 2.0])
+    X = col[:, None]
+    assign = np.array([0, 0, 0, 0, 0, 0, 0, 0, 0, 1])
+    counts = np.bincount(assign)
+    total = 0.0
+    for v in col[:9]:
+        total += v
+    flats = kflats._refit_cells(X, assign, counts, 1)
+    assert flats[0].offset.tolist() == [total / 9]
+    assert np.array_equal(flats[0].offset, _cell_means(X, assign, counts)[0])
+    assert flats[1].offset.tolist() == [2.0] and flats[1].degenerate.all()

@@ -8,7 +8,8 @@ Each result file is one run, named by ``run.py`` as
 ``<workload>-seed<seed>-trace<0|1>.json``. A run of the parent and a run of
 the change on the same workload and seed form a pair. For every workload
 the record holds, side by side, each metric's median and quartiles over the
-paired runs, how many pairs the change won on it, the failed share of
+paired runs, how many pairs the change won on it with the exact two-sided
+sign-test p-value of those wins (ties dropped), the failed share of
 operations and the seeds. ``--trace 1`` runs give the per-layer metrics the
 same way. The parent is named by the commit ``--parent-rev`` and its
 ``src/`` tree sha, the change by the sha of the ``src/`` tree staged in
@@ -25,6 +26,7 @@ every timed set-up, which moves ``setup_s`` by about 15 %.
 
 import argparse
 import json
+import math
 import os
 import re
 import statistics
@@ -63,17 +65,27 @@ def spread(values):
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def sign_test_p(wins, losses):
+    """Exact two-sided sign-test p-value of `wins` against `losses`: the
+    chance that a fair coin splits wins + losses pairs at least this
+    unevenly."""
+    tail = sum(math.comb(wins + losses, i) for i in range(min(wins, losses) + 1))
+    return min(1.0, 2 * tail / 2 ** (wins + losses))
+
+
 def compare(parent, change, seeds):
     """Per-metric medians and quartiles of both sides over the paired seeds,
-    and the pairs the change won (strictly lower, since every metric is
-    lower-is-better)."""
+    the pairs the change won (strictly lower, since every metric is
+    lower-is-better) and the sign-test p-value of its wins against its
+    losses, tied pairs dropped."""
     out = {}
     for name, metric in parent[seeds[0]]["metrics"].items():
         p = [parent[s]["metrics"][name]["value"] for s in seeds]
         c = [change[s]["metrics"][name]["value"] for s in seeds]
+        wins = sum(b < a for a, b in zip(p, c))
         out[name] = {"unit": metric["unit"], "parent": spread(p),
-                     "change": spread(c),
-                     "change_wins": sum(b < a for a, b in zip(p, c))}
+                     "change": spread(c), "change_wins": wins,
+                     "sign_test_p": sign_test_p(wins, sum(b > a for a, b in zip(p, c)))}
     return out
 
 

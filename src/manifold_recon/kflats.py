@@ -10,7 +10,9 @@ the assignment, `_refit_cells` as the update, and as the start the PCA of the
 Voronoi cells of k-means++ point seeds (`refit_cell` per cell). The update
 takes every offset from the k-means cell update `_cell_means`, which equals
 `refit_cell`'s `mean(axis=0)` bit for bit for D >= 2; at D = 1 the two sum
-in different orders and the offsets may differ by rounding.
+in different orders and the offsets may differ by rounding. Within a
+restart, `_restart_steps` refits only the cells that rows entered or left
+and re-measures only the distance columns of the flats it replaced.
 """
 
 from dataclasses import dataclass, field, replace
@@ -128,14 +130,19 @@ class FlatsModel:
                    iterations=int(obj["iterations"]), seed=int(obj["seed"]))
 
 
-def _dist2_matrix(X: np.ndarray, flats) -> np.ndarray:
-    """(n, k) squared residuals of every point against every flat."""
-    n = X.shape[0]
-    out = np.empty((n, len(flats)))
+def _dist2_matrix(X: np.ndarray, flats, out=None, measured=None) -> np.ndarray:
+    """(n, k) squared residuals of every point against every flat. Given a
+    kept buffer `out` and the list `measured` of the flats its columns were
+    computed from, only the columns whose flat is another object are
+    recomputed (flats are frozen, so the others hold the same bits)."""
+    if out is None:
+        out, measured = np.empty((X.shape[0], len(flats))), [None] * len(flats)
     for j, f in enumerate(flats):
-        R = X - f.offset
-        d2 = np.einsum("ij,ij->i", R, R) - np.square(R @ f.basis).sum(axis=1)
-        out[:, j] = np.maximum(d2, 0.0)
+        if measured[j] is not f:
+            R = X - f.offset
+            d2 = np.einsum("ij,ij->i", R, R) - np.square(R @ f.basis).sum(axis=1)
+            out[:, j] = np.maximum(d2, 0.0)
+            measured[j] = f
     return out
 
 
@@ -172,19 +179,40 @@ def _flat_about(pts: np.ndarray, offset: np.ndarray, d: int) -> Flat:
                 degenerate=np.arange(d) >= rank)
 
 
-def _nearest_flat(X: np.ndarray, flats):
+def _nearest_flat(X: np.ndarray, flats, out=None, measured=None):
     """(d2, assign) against the nearest flat, ties to the lowest index."""
-    dist = _dist2_matrix(X, flats)
+    dist = _dist2_matrix(X, flats, out, measured)
     assign = np.argmin(dist, axis=1)
     return dist[np.arange(X.shape[0]), assign], assign
 
 
 def _refit_cells(X: np.ndarray, assign: np.ndarray, counts: np.ndarray,
-                 d: int) -> list:
+                 d: int, last=None) -> list:
     """k-flats cell update: the d-truncated PCA of every cell, about the
-    k-means cell update's means."""
+    k-means cell update's means. Given `last`, the (assign, flats) of an
+    earlier update, a cell that no row entered or left keeps its flat: a
+    cell's flat depends only on X and its rows, taken in row order."""
+    redo = np.full(counts.size, last is None)
+    if last is not None:
+        moved = assign != last[0]
+        redo[assign[moved]] = redo[last[0][moved]] = True
     return [_flat_about(np.compress(assign == j, X, axis=0), offset, d)
+            if redo[j] else last[1][j]
             for j, offset in enumerate(_cell_means(X, assign, counts))]
+
+
+def _restart_steps(n: int, k: int, d: int):
+    """`_descend`'s (nearest, refit) for one restart, keeping its (n, k)
+    distance buffer and its last update between passes. The first update
+    refits every cell: the start's flats are no refit of an assignment."""
+    nearest = partial(_nearest_flat, out=np.empty((n, k)), measured=[None] * k)
+    last = None
+
+    def refit(X, assign, counts):
+        nonlocal last
+        last = assign, _refit_cells(X, assign, counts, d, last)
+        return last[1]
+    return nearest, refit
 
 
 def fit(data: Dataset, k: int, d: int, cfg: Optional[FitConfig] = None,
@@ -196,6 +224,8 @@ def fit(data: Dataset, k: int, d: int, cfg: Optional[FitConfig] = None,
     cell becomes the degenerate flat through the one point farthest from
     its nearest seed. It then alternates assign/refit until the assignment
     is stable or the relative objective decrease drops below cfg.rel_tol.
+    After the first refit, a pass refits and re-measures only the cells
+    whose rows changed, with the bits of refitting and measuring them all.
     """
     cfg = cfg or FitConfig()
     X = data.points
@@ -207,8 +237,7 @@ def fit(data: Dataset, k: int, d: int, cfg: Optional[FitConfig] = None,
         return [refit_cell(cell if len(cell) else far, d) for cell in cells]
 
     flats, obj, iters, violations = _best_of_restarts(
-        start, lambda f: _descend(X, f, _nearest_flat,
-                                  partial(_refit_cells, d=d), cfg),
+        start, lambda f: _descend(X, f, *_restart_steps(len(X), k, d), cfg),
         cfg, seed, trace_sink)
     return FlatsModel(flats=flats, k=k, d=d, objective=obj, iterations=iters,
                       seed=seed, descent_violations=violations)

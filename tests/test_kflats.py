@@ -1,17 +1,20 @@
 """Affine-flat fitting: PCA refits, distances, and the alternation."""
 
 import json
+import math
+from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from manifold_recon import kflats
+from manifold_recon import kflats, kmeans
 from manifold_recon.errors import ParameterError
 from manifold_recon.geometry import Dataset, sample_flat_disk, sample_sphere
-from manifold_recon.kmeans import FitConfig, _cell_means
+from manifold_recon.kmeans import FitConfig, _cell_means, _descend
 
 clouds = arrays(
     np.float64, st.tuples(st.integers(3, 20), st.integers(2, 4)),
@@ -277,3 +280,143 @@ def test_refit_cells_offset_is_sequential_sum_at_d1():
     assert flats[0].offset.tolist() == [total / 9]
     assert np.array_equal(flats[0].offset, _cell_means(X, assign, counts)[0])
     assert flats[1].offset.tolist() == [2.0] and flats[1].degenerate.all()
+
+
+def _same_flats(got, want):
+    return len(got) == len(want) and all(
+        np.array_equal(f.offset, g.offset) and np.array_equal(f.basis, g.basis)
+        and np.array_equal(f.degenerate, g.degenerate) for f, g in zip(got, want))
+
+
+def _uncached_steps(n, k, d):
+    return kflats._nearest_flat, partial(kflats._refit_cells, d=d)
+
+
+@st.composite
+def alternation_starts(draw):
+    """(X, start, d): rows drawn with repeats from a small pool (duplicate
+    rows), shifted by 0 or +-1e6; k in 1..4 and d in 0..D; the start refits
+    k random row groups, and may repeat its first flat as its last, which
+    leaves the last cell empty so that the first pass takes a donor."""
+    D = draw(st.integers(1, 4))
+    pool = draw(arrays(np.float64, st.tuples(st.integers(1, 8), st.just(D)),
+                       elements=st.floats(-5, 5, allow_nan=False, width=64)))
+    rows = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=40))
+    X = pool[rows] + draw(st.sampled_from([0.0, 1e6, -1e6]))
+    k, d = draw(st.integers(1, min(4, len(X)))), draw(st.integers(0, D))
+    labels = np.array(draw(st.lists(st.integers(0, k - 1), min_size=len(X),
+                                    max_size=len(X))))
+    start = [kflats.refit_cell(X[labels == j] if (labels == j).any() else X[0], d)
+             for j in range(k)]
+    if k > 1 and draw(st.booleans()):
+        start[-1] = start[0]
+    return X, start, d
+
+
+_SHIFTED = np.array([[1e6, 1e6], [1e6, 1e6], [1e6 + 1, 1e6 - 2],
+                     [1e6 + 3, 1e6 + 4], [1e6 - 3, 1e6]])
+
+
+@settings(max_examples=80, deadline=None)
+@given(alternation_starts(), st.integers(0, 2 ** 32 - 1))
+@example((_SHIFTED, [kflats.refit_cell(_SHIFTED[:2], 0)] * 2
+          + [kflats.refit_cell(_SHIFTED[2:], 0)], 0), 0)
+@example((-_SHIFTED, [kflats.refit_cell(-_SHIFTED, 2)], 2), 1)
+def test_restart_steps_match_the_uncached_alternation(case, seed):
+    """From one start, and per restart of a whole fit, the alternation that
+    keeps unmoved cells and their distance columns gives the uncached one's
+    trace and flats bit for bit."""
+    X, start, d = case
+    cfg = FitConfig(rel_tol=0.0, max_iters=30)
+    want, want_trace = _descend(X, start, *_uncached_steps(len(X), len(start), d), cfg)
+    nearest, refit = kflats._restart_steps(len(X), len(start), d)
+    updates = []
+
+    def logged(X, assign, counts):
+        updates.append(refit(X, assign, counts))
+        return updates[-1]
+    got, trace = _descend(X, start, nearest, logged, cfg)
+    assert trace == want_trace
+    assert _same_flats(got, want)
+    for a, b in zip(updates, updates[1:]):
+        kept = [f is g for f, g in zip(a, b)]
+        if any(kept) and not all(kept):
+            event("a cell kept its flat while another was refit")
+    if len(set(map(id, start))) < len(start):
+        event("repeated start flat: the first pass takes a donor")
+    fits = []
+    for steps in (_uncached_steps, kflats._restart_steps):
+        traces = []
+        with mock.patch.object(kflats, "_restart_steps", steps):
+            fits.append((kflats.fit(Dataset(X), len(start), d, FitConfig(restarts=3), seed,
+                                    trace_sink=traces), traces))
+    (want_fit, want_traces), (got_fit, got_traces) = fits
+    assert got_traces == want_traces
+    assert got_fit.objective == want_fit.objective
+    assert _same_flats(got_fit.flats, want_fit.flats)
+
+
+@settings(max_examples=60, deadline=None)
+@given(labelled_clouds(), st.data())
+@example((np.array([[0.0, 0.0], [0.0, 1.0], [5.0, 5.0], [5.0, 6.0], [9.0, 0.0],
+                    [9.0, 1.0]]), np.array([0, 0, 1, 1, 2, 2])), None)
+def test_refit_cells_keep_exactly_the_unmoved_cells(cloud, data):
+    """An update given the last (assign, flats) keeps the last flat of each
+    cell that no row entered or left (two rows that swap cells move both),
+    and equals the full update bit for bit."""
+    X, last_assign = cloud
+    k, D = last_assign.max() + 1, X.shape[1]
+    assign = last_assign.copy()
+    if data is None:  # rows 1 and 4 swap cells 0 and 2; cell 1 keeps its rows
+        assign[[1, 4]] = assign[[4, 1]]
+    else:
+        for i, j in data.draw(st.lists(st.tuples(st.integers(0, len(X) - 1),
+                                                 st.integers(0, len(X) - 1)), max_size=3)):
+            assign[[i, j]] = assign[[j, i]]
+        moves = data.draw(st.lists(st.tuples(st.integers(0, len(X) - 1),
+                                             st.integers(0, k - 1)), max_size=2))
+        for i, j in moves:
+            assign[i] = j
+    counts = np.bincount(assign, minlength=k)
+    assume(counts.all())
+    d = D if data is None else data.draw(st.integers(0, D))
+    last = kflats._refit_cells(X, last_assign, np.bincount(last_assign), d)
+    got = kflats._refit_cells(X, assign, counts, d, (last_assign, last))
+    assert _same_flats(got, kflats._refit_cells(X, assign, counts, d))
+    for j in range(k):
+        unmoved = np.array_equal(assign == j, last_assign == j)
+        assert (got[j] is last[j]) == unmoved
+        if unmoved and not (assign == last_assign).all():
+            event("a cell kept its rows while another changed")
+        if counts[j] == np.bincount(last_assign, minlength=k)[j] and not unmoved:
+            event("a cell swapped rows and kept its count")
+
+
+def test_restart_nearest_remeasures_only_replaced_flats():
+    X = np.array([[0.0, 0.0], [1.0, 2.0], [3.0, -1.0], [2.0, 2.0]])
+    flats = [kflats.refit_cell(X[:2], 1), kflats.refit_cell(X[2:], 1)]
+    nearest, _ = kflats._restart_steps(len(X), 2, 1)
+    nearest(X, flats)
+    dist = nearest.keywords["out"]
+    dist[:, 0] = -1.0  # a column whose flat stays is not computed again
+    flats[1] = kflats.refit_cell(X[1:], 1)
+    d2, assign = nearest(X, flats)
+    assert (dist[:, 0] == -1.0).all() and (assign == 0).all()
+    assert np.array_equal(dist[:, 1], kflats._dist2_matrix(X, flats[1:])[:, 0])
+
+
+@pytest.mark.parametrize("k", [3, 4, 8])
+def test_circle_fits_reach_the_equal_arc_error_on_holdout(k):
+    """On the uniform unit circle, k equal arcs (alpha = pi/k) are optimal,
+    with error 1 - (sin a/a)^2 for k points and 1/2 + sin 2a/(4a) - (sin a/a)^2
+    for k lines. Scored on a hold-out sample, not on the training objective,
+    which a fit at this n can push below the population optimum."""
+    train = sample_sphere(d=1, D=2, n=20_000, seed=0)
+    holdout = sample_sphere(d=1, D=2, n=50_000, seed=1)
+    a = math.pi / k
+    s = math.sin(a) / a
+    cfg = FitConfig(restarts=3)
+    for model, optimum in ((kmeans.fit(train, k, cfg, seed=0), 1 - s * s),
+                           (kflats.fit(train, k, 1, cfg, seed=0),
+                            0.5 + math.sin(2 * a) / (4 * a) - s * s)):
+        assert 0.98 <= kmeans.empirical_error(holdout, model) / optimum <= 1.02

@@ -12,7 +12,9 @@ takes every offset from the k-means cell update `_cell_means`, which equals
 `refit_cell`'s `mean(axis=0)` bit for bit for D >= 2; at D = 1 the two sum
 in different orders and the offsets may differ by rounding. Within a
 restart, `_restart_steps` refits only the cells that rows entered or left
-and re-measures only the distance columns of the flats it replaced.
+and re-measures only the distance columns of the flats it replaced. Bases
+from outside (`Flat(...)`, `FlatsModel.from_json_dict`) are checked
+orthonormal; the refits that `_flat_about` builds are not checked again.
 """
 
 from dataclasses import dataclass, field, replace
@@ -34,6 +36,7 @@ from .util import fsum_mean, min_sqdist
 # (LAPACK SVD is far inside this for unit-ball data). Ties leave the basis
 # non-unique; only the projection operator B B^T is contractual.
 EIG_RESIDUAL_TOL = 1e-10
+_EPS = np.finfo(np.float64).eps
 
 
 @dataclass(frozen=True)
@@ -42,7 +45,8 @@ class Flat:
 
     Zero columns (flagged via `degenerate`) stand in for directions a
     rank-deficient cell could not determine; they contribute nothing to
-    projections.
+    projections. `Flat(...)` checks the basis: |B^T B - diag(~degenerate)|
+    <= 1e-9; the refits that `_flat_about` builds skip it (`_trusted`).
     """
 
     offset: np.ndarray
@@ -61,12 +65,20 @@ class Flat:
         want = np.diag((~mask).astype(float))
         if gram.size and np.max(np.abs(gram - want)) > 1e-9:
             raise ParameterError("basis columns not orthonormal (or zero where degenerate)")
-        off.setflags(write=False)
-        B.setflags(write=False)
-        mask.setflags(write=False)
-        object.__setattr__(self, "offset", off)
-        object.__setattr__(self, "basis", B)
-        object.__setattr__(self, "degenerate", mask)
+        self._freeze(off, B, mask)
+
+    def _freeze(self, offset, basis, degenerate):
+        for name, a in (("offset", offset), ("basis", basis), ("degenerate", degenerate)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+
+    @classmethod
+    def _trusted(cls, offset, basis, degenerate):
+        """A Flat of arrays known valid, as `_flat_about` builds them,
+        frozen without the checks."""
+        flat = object.__new__(cls)
+        flat._freeze(offset, basis, degenerate)
+        return flat
 
     @property
     def ambient_dim(self) -> int:
@@ -172,11 +184,10 @@ def _flat_about(pts: np.ndarray, offset: np.ndarray, d: int) -> Flat:
     if d > 0 and pts.shape[0] > 1:
         _, s, vt = np.linalg.svd(pts - offset, full_matrices=False)
         if s.size and s[0] > 0.0:
-            tol = s[0] * max(pts.shape) * np.finfo(np.float64).eps
+            tol = s[0] * max(pts.shape) * _EPS
             rank = min(d, int(np.count_nonzero(s > tol)))
             basis[:, :rank] = vt[:rank].T
-    return Flat(offset=offset, basis=basis,
-                degenerate=np.arange(d) >= rank)
+    return Flat._trusted(offset, basis, np.arange(d) >= rank)
 
 
 def _nearest_flat(X: np.ndarray, flats, out=None, measured=None):

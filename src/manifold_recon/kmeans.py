@@ -112,7 +112,9 @@ def seed_kmeanspp(data: Dataset, k: int, seed: int) -> np.ndarray:
 
     First center uniform over rows; each subsequent one drawn with
     probability proportional to its current squared distance to the chosen
-    set, which puts zero mass on already-chosen (and duplicate) rows.
+    set, which puts zero mass on already-chosen (and duplicate) rows. A
+    draw is `Generator.choice(n, p=d2 / total)`'s own inverse-CDF step: the
+    same `rng.random()` from the stream, without re-validating `p` each time.
     """
     X = data.points
     n = data.size
@@ -128,7 +130,9 @@ def seed_kmeanspp(data: Dataset, k: int, seed: int) -> np.ndarray:
     for j in range(1, k):
         total = d2.sum()
         if total > 0.0:
-            i = rng.choice(n, p=d2 / total)
+            cdf = (d2 / total).cumsum()
+            cdf /= cdf[-1]
+            i = int(cdf.searchsorted(rng.random(), side="right"))
         else:
             # every row duplicates a chosen center; any row is as good
             i = rng.integers(n)

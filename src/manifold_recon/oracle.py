@@ -3,7 +3,8 @@
 Every locally-optimal solution is determined by a partition of the points,
 so enumerating all partitions into at most k non-empty groups (restricted
 growth strings) visits the global optimum. Costs are guarded by a Stirling
-count so a mistyped instance refuses instead of hanging.
+count so a mistyped instance refuses instead of hanging. A group's cost
+depends only on its rows, so a search memoizes it by their bitmask.
 
 A group's cost is its best d-flat residual, which by Eckart & Young (1936)
 is the sum of the squared singular values of its centred points past the
@@ -84,16 +85,23 @@ def _search(data: Dataset, k: int, d: int):
     n = data.size
     best_cost = math.inf
     best_part = None
+    memo = {}  # group cost by the bitmask of its rows
     for part in partitions(n, k):
-        labels = np.asarray(part)
+        masks = [0] * (max(part) + 1)
+        for i, g in enumerate(part):
+            masks[g] |= 1 << i
         cost = 0.0
-        for g in range(labels.max() + 1):
-            R = X[labels == g]
-            R = R - R.mean(axis=0)
-            if d == 0:  # the same sum, without an SVD
-                cost += float(np.einsum("ij,ij->", R, R))
-            else:
-                cost += float(np.square(np.linalg.svd(R, compute_uv=False)[d:]).sum())
+        for g, mask in enumerate(masks):
+            group = memo.get(mask)
+            if group is None:
+                R = X[np.asarray(part) == g]
+                R = R - R.mean(axis=0)
+                if d == 0:  # the same sum, without an SVD
+                    group = float(np.einsum("ij,ij->", R, R))
+                else:
+                    group = float(np.square(np.linalg.svd(R, compute_uv=False)[d:]).sum())
+                memo[mask] = group
+            cost += group
             if cost >= best_cost:
                 break
         if cost < best_cost:

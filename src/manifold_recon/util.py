@@ -41,6 +41,7 @@ EXTRACT_MIN_N = 256
 # Extraction levels before the leftovers go to math.fsum one by one.
 EXTRACT_LEVELS = 4
 _UNIT_ROUNDOFF = 2.0 ** -53
+_TINY = np.finfo(np.float64).tiny
 
 
 def _gamma(m: int) -> float:
@@ -66,7 +67,7 @@ def _screened_min(blk: np.ndarray, C: np.ndarray):
         t = (-2.0 * C) @ blk.T
         t += cc[:, None]
         reach = np.sqrt(np.einsum("ij,ij->i", blk, blk)) + np.sqrt(cc.max())
-        band = 8.0 * _gamma(D + 3) * (reach * reach + np.finfo(np.float64).tiny)
+        band = 8.0 * _gamma(D + 3) * (reach * reach + _TINY)
         near = t <= t.min(axis=0) + band
     j = near.argmax(axis=0)
     diff = blk - C.take(j, axis=0)

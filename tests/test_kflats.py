@@ -97,6 +97,14 @@ def test_flat_validation():
     with pytest.raises(ParameterError):
         kflats.Flat(offset=np.zeros(3), basis=np.eye(3)[:, :1],
                     degenerate=np.zeros(2, dtype=bool))  # mask length mismatch
+    # a model file's bases go through the same check
+    obj = {"k": 1, "d": 1, "ambient_dim": 3, "objective": 0.0, "iterations": 1,
+           "seed": 0, "flats": [{"offset": [0.0] * 3, "basis": [1.0, 0.0, 0.0],
+                                 "degenerate_mask": [False]}]}
+    kflats.FlatsModel.from_json_dict(obj)
+    obj["flats"][0]["basis"] = [1.0, 1.0, 0.0]  # not unit length
+    with pytest.raises(ParameterError):
+        kflats.FlatsModel.from_json_dict(obj)
 
 
 def test_fit_recovers_flat_data_exactly():
@@ -264,6 +272,39 @@ def test_refit_cells_match_refit_cell_bit_for_bit(cloud):
             assert np.array_equal(f.offset, want.offset)
             assert np.array_equal(f.basis, want.basis)
             assert np.array_equal(f.degenerate, want.degenerate)
+
+
+def _meets_the_flat_check(f, D, d):
+    """What `Flat(...)` checks and freezes, on a flat built without it."""
+    assert f.offset.shape == (D,) and f.basis.shape == (D, d)
+    assert f.degenerate.shape == (d,)
+    gram = f.basis.T @ f.basis
+    assert np.abs(gram - np.diag((~f.degenerate).astype(float))).max(initial=0.0) <= 1e-9
+    for a, dtype in ((f.offset, np.float64), (f.basis, np.float64),
+                     (f.degenerate, np.bool_)):
+        assert a.dtype == dtype and a.flags.c_contiguous and not a.flags.writeable
+    kflats.Flat(offset=f.offset, basis=f.basis, degenerate=f.degenerate)
+
+
+@settings(max_examples=60, deadline=None)
+@given(labelled_clouds())
+@example((np.array([[1.0, 2.0], [1.0, 2.0], [3.0, 3.0], [-1.0, 0.5], [2.0, 4.0]]),
+          np.array([0, 0, 1, 1, 1])))
+def test_every_refit_meets_the_flat_check(cloud):
+    """Refits skip Flat's orthonormality check; every flat that refit_cell
+    and _refit_cells return still meets it, for every d in 0..D, on cells of
+    duplicate rows and other rank-deficient cells, and at D = 1."""
+    X, assign = cloud
+    D = X.shape[1]
+    counts = np.bincount(assign)
+    for d in range(D + 1):
+        for j, f in enumerate(kflats._refit_cells(X, assign, counts, d)):
+            _meets_the_flat_check(f, D, d)
+            _meets_the_flat_check(kflats.refit_cell(X[assign == j], d), D, d)
+            if f.degenerate.any():
+                event("a rank-deficient cell")
+    for d in (0, 1):
+        _meets_the_flat_check(kflats.refit_cell(X[:, :1], d), 1, d)
 
 
 def test_refit_cells_offset_is_sequential_sum_at_d1():

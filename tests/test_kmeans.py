@@ -4,10 +4,11 @@ k-flats, and the fit certificates."""
 import json
 import math
 from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -179,6 +180,89 @@ def test_kmeanspp_prefers_far_points():
         np.any(km.seed_kmeanspp(Dataset(X), 2, seed=s)[:, 0] > 0.5)
         for s in range(50))
     assert hits >= 45
+
+
+def _choice_seeder(X, k, seed):
+    """k-means++ drawing each centre by rng.choice(n, p=d2 / total); returns
+    the centres and the generator's next rng.random()."""
+    rng = np.random.default_rng(seed)
+    n = len(X)
+    centers = np.empty((k, X.shape[1]))
+    centers[0] = X[rng.integers(n)]
+    diff = X - centers[0]
+    d2 = np.einsum("ij,ij->i", diff, diff)
+    for j in range(1, k):
+        total = d2.sum()
+        i = rng.choice(n, p=d2 / total) if total > 0.0 else rng.integers(n)
+        centers[j] = X[i]
+        diff = X - centers[j]
+        d2 = np.minimum(d2, np.einsum("ij,ij->i", diff, diff))
+    return centers, rng.random()
+
+
+def _seed_and_next_draw(ds, k, seed):
+    """seed_kmeanspp's centres and its generator's next rng.random()."""
+    rng = np.random.default_rng(seed)
+    with mock.patch.object(np.random, "default_rng", return_value=rng) as made:
+        centers = km.seed_kmeanspp(ds, k, seed)
+    made.assert_called_once_with(seed)
+    return centers, rng.random()
+
+
+@st.composite
+def seeding_clouds(draw):
+    """Small clouds with repeated rows (all rows alike included), scaled
+    towards both ends of float64 within Dataset's overflow guard and
+    shifted far from the origin, with k from 1 to n."""
+    distinct = draw(arrays(
+        np.float64, st.tuples(st.integers(1, 12), st.integers(1, 4)),
+        elements=st.floats(-10, 10, allow_nan=False, width=64)))
+    rows = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=30))
+    X = distinct[rows] * draw(st.sampled_from([1.0, 1e-150, 1e150]))
+    X = X + draw(st.sampled_from([0.0, 1e6, -1e6]))
+    return X, draw(st.integers(1, len(X)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(seeding_clouds(), st.integers(0, 2 ** 64 - 1))
+@example((np.zeros((5, 2)), 3), 0)
+@example((np.array([[0.0], [1e-150], [2e-150]]), 3), 7)
+def test_seeding_draws_as_generator_choice(cloud, seed):
+    X, k = cloud
+    got, after = _seed_and_next_draw(Dataset(X), k, seed)
+    want, want_after = _choice_seeder(Dataset(X).points, k, seed)
+    assert got.tobytes() == want.tobytes()
+    assert after == want_after
+
+
+class _ScriptedGenerator(np.random.Generator):
+    """A Generator whose integers() is 0 and whose random() is always `u`,
+    so that every draw lands where the test puts it."""
+
+    def __init__(self, u):
+        super().__init__(np.random.PCG64(0))
+        self.u = u
+
+    def integers(self, *args, **kwargs):
+        return 0
+
+    def random(self, *args, **kwargs):
+        return self.u
+
+
+@pytest.mark.parametrize("X", [
+    # masses 0, 0, 1/4, 1/4, 1/4, 1/4 about the first row: every u below
+    # is a cumulative boundary, next to zero-mass rows
+    np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]),
+    # masses 0 and ten times 1/10, whose running sum ends at 1 - 2^-53
+    np.vstack([np.zeros((1, 10)), np.eye(10)]),
+])
+@pytest.mark.parametrize("u", [0.0, 0.25, 0.5, 0.75, 1.0 - 2.0 ** -53])
+def test_seeding_draws_on_mass_boundaries_as_generator_choice(X, u):
+    with mock.patch.object(np.random, "default_rng", return_value=_ScriptedGenerator(u)):
+        got = km.seed_kmeanspp(Dataset(X), 3, 0)
+        want, _ = _choice_seeder(X, 3, 0)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_center_of_mass_residual_is_zero_at_fixed_point():

@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from manifold_recon import kflats, kmeans as km, oracle
 from manifold_recon.errors import EnumerationLimitError, ParameterError
@@ -136,3 +137,50 @@ def test_oracle_matches_exhaustive_center_evaluation():
             obj, _ = (oracle.global_kflats(Dataset(Z), k, d) if d
                       else oracle.global_kmeans(Dataset(Z), k))
             assert abs(obj - best) < 1e-12
+
+
+def _unmemoized_search(X, k, d):
+    """The oracle's search with every group's cost computed afresh in each
+    partition: the same running sum, early break and first best partition."""
+    n = len(X)
+    best_cost, best_part = math.inf, None
+    for part in oracle.partitions(n, k):
+        labels = np.asarray(part)
+        cost = 0.0
+        for g in range(labels.max() + 1):
+            R = X[labels == g]
+            R = R - R.mean(axis=0)
+            if d == 0:
+                cost += float(np.einsum("ij,ij->", R, R))
+            else:
+                cost += float(np.square(np.linalg.svd(R, compute_uv=False)[d:]).sum())
+            if cost >= best_cost:
+                break
+        if cost < best_cost:
+            best_cost, best_part = cost, part
+    return best_cost / n, best_part
+
+
+@st.composite
+def tie_prone_instances(draw):
+    """(X, k, d): n <= 8 rows drawn with repeats from a pool of at most four
+    points, so that groups repeat and partitions tie, with k <= 3 and
+    d in {0, 1, 2} <= D."""
+    D = draw(st.integers(2, 3))
+    pool = draw(arrays(np.float64, st.tuples(st.integers(1, 4), st.just(D)),
+                       elements=st.floats(-1, 1, allow_nan=False, width=64)))
+    rows = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=8))
+    return pool[rows], draw(st.integers(1, min(3, len(rows)))), draw(st.integers(0, 2))
+
+
+@settings(max_examples=80, deadline=None)
+@given(tie_prone_instances())
+@example((np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.5, 2.0]]), 2, 0))
+def test_memoized_search_matches_the_unmemoized_loop(case):
+    """Objective bits and the first optimal partition are those of computing
+    every group's cost in every partition."""
+    X, k, d = case
+    ds = Dataset(X)
+    got = oracle.global_kmeans(ds, k) if d == 0 else oracle.global_kflats(ds, k, d)
+    obj, part = _unmemoized_search(ds.points, k, d)
+    assert got[0].hex() == obj.hex() and got[1] == part

@@ -9,9 +9,10 @@ Each result file is one run, named by ``run.py`` as
 the change on the same workload and seed form a pair. For every workload
 the record holds, side by side, each metric's median and quartiles over the
 paired runs, how many pairs the change won on it with the exact two-sided
-sign-test p-value of those wins (ties dropped), the failed share of
-operations and the seeds. ``--trace 1`` runs give the per-layer metrics the
-same way. The parent is named by the commit ``--parent-rev`` and its
+sign-test p-value of those wins (ties dropped), the parent's
+interquartile distance with whether the two medians lie further apart than
+it, the failed share of operations and the seeds. ``--trace 1`` runs give
+the per-layer metrics the same way. The parent is named by the commit ``--parent-rev`` and its
 ``src/`` tree sha, the change by the sha of the ``src/`` tree staged in
 git (``HEAD:src`` once it is committed). The numpy and
 OpenBLAS versions and ``nproc`` are this interpreter's and machine's, so
@@ -76,16 +77,21 @@ def sign_test_p(wins, losses):
 def compare(parent, change, seeds):
     """Per-metric medians and quartiles of both sides over the paired seeds,
     the pairs the change won (strictly lower, since every metric is
-    lower-is-better) and the sign-test p-value of its wins against its
-    losses, tied pairs dropped."""
+    lower-is-better), the sign-test p-value of its wins against its losses,
+    tied pairs dropped, and the spread rule: the parent's interquartile
+    distance and whether the medians lie further apart than that."""
     out = {}
     for name, metric in parent[seeds[0]]["metrics"].items():
         p = [parent[s]["metrics"][name]["value"] for s in seeds]
         c = [change[s]["metrics"][name]["value"] for s in seeds]
         wins = sum(b < a for a, b in zip(p, c))
-        out[name] = {"unit": metric["unit"], "parent": spread(p),
-                     "change": spread(c), "change_wins": wins,
-                     "sign_test_p": sign_test_p(wins, sum(b > a for a, b in zip(p, c)))}
+        ps, cs = spread(p), spread(c)
+        iqr = ps["q3"] - ps["q1"]
+        out[name] = {"unit": metric["unit"], "parent": ps, "change": cs,
+                     "change_wins": wins,
+                     "sign_test_p": sign_test_p(wins, sum(b > a for a, b in zip(p, c))),
+                     "parent_iqr": iqr,
+                     "median_gap_exceeds_iqr": abs(cs["median"] - ps["median"]) > iqr}
     return out
 
 

@@ -40,10 +40,8 @@ OPENBLAS_SET_THREADS = "scipy_openblas_set_num_threads64_"
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One experiment grid. `threads` is the number of worker processes its
-    cells run in, each forked with BLAS pinned to one thread; at 1, or
-    where `os.fork` does not exist, the cells run serially in this process.
-    Rows are the same bit for bit at any value."""
+    """One experiment grid. `threads` is the number of worker processes
+    `_fork_map` runs its cells in; rows are the same bit for bit at any value."""
     manifold: ManifoldSpec
     train_sizes: Sequence[int]
     k_grid: Union[Sequence[int], str]   # explicit grid or "auto" (balanced schedule)
@@ -203,47 +201,52 @@ def _blas_threads_setter():
     return setter
 
 
-def _run_forked(job, parts) -> list:
-    """[job(part) for part in parts], each part in its own forked worker
-    process with BLAS pinned to one thread, so that workers share no lock
-    and do not oversubscribe the CPUs. An exception a part raises is raised
-    here with its type and message; a worker that dies raises WorkerError.
-    Every worker is reaped before this returns or raises."""
+def _fork_map(fn, items: Sequence, workers: int) -> list:
+    """[fn(item) for item in items], in min(workers, len(items)) forked
+    worker processes with BLAS pinned to one thread, so that workers share
+    no lock and do not oversubscribe the CPUs: worker w takes items w,
+    w + workers, ... At one worker, or where `os.fork` does not exist, the
+    items run serially in this process. An exception an item raises is
+    raised here with its type and message; a worker that dies raises
+    WorkerError. Every worker is reaped before this returns or raises."""
+    workers = min(workers, len(items))
+    if workers <= 1 or not hasattr(os, "fork"):
+        return [fn(item) for item in items]
     import signal  # here, so that the serial path does not load it
 
     set_blas_threads = _blas_threads_setter()
-    workers = []  # (pid, read end of its pipe) of every worker not yet reaped
+    results = [None] * len(items)
+    pending = []  # (w, pid, read end of its pipe) of every worker not yet reaped
     try:
-        for part in parts:
-            r, w = os.pipe()
+        for w in range(workers):
+            r, wr = os.pipe()
             try:
                 pid = os.fork()
             except OSError:
                 os.close(r)
-                os.close(w)
+                os.close(wr)
                 raise
             if pid == 0:
                 code = 1
                 try:
                     set_blas_threads(1)
                     try:
-                        out = (True, job(part))
+                        out = (True, [fn(item) for item in items[w::workers]])
                     except Exception as exc:
                         out = (False, exc)
-                    with open(w, "wb") as pipe:
+                    with open(wr, "wb") as pipe:
                         pickle.dump(out, pipe)
                     code = 0
                 finally:
                     os._exit(code)  # never return into the parent's stack
-            os.close(w)
-            workers.append((pid, open(r, "rb")))
-        results = []
-        while workers:
-            pid, pipe = workers[0]
+            os.close(wr)
+            pending.append((w, pid, open(r, "rb")))
+        while pending:
+            w, pid, pipe = pending[0]
             with pipe:
                 payload = pipe.read()
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            workers.pop(0)
+            pending.pop(0)
             if code != 0:
                 how = (f"was killed by signal {-code}" if code < 0
                        else f"exited with code {code}")
@@ -251,10 +254,10 @@ def _run_forked(job, parts) -> list:
             ok, value = pickle.loads(payload)
             if not ok:
                 raise value
-            results.append(value)
+            results[w::workers] = value
         return results
     finally:
-        for pid, pipe in workers:
+        for _, pid, pipe in pending:
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
@@ -263,32 +266,19 @@ def _run_forked(job, parts) -> list:
 def _run_cells(spec: ExperimentSpec,
                cells: Sequence[Tuple[int, int, int]]) -> Tuple[List[dict], int]:
     """Rows of the (n, k, repeat) cells, in the order given, scored on the
-    shared hold-out sample, plus their summed descent violations.
-
-    With `spec.threads` above 1 the cells run in min(threads, cells) forked
-    worker processes, worker w taking cells w, w + workers, ...; at 1, or
-    where `os.fork` does not exist, they run serially in this process.
-    """
+    shared hold-out sample, plus their summed descent violations. The cells
+    run through `_fork_map` in `spec.threads` workers."""
     holdout = spec.manifold.sample(spec.holdout_size,
                                    mix_seed(spec.base_seed, HOLDOUT_TAG))
 
-    def run(part):
-        rows = []
-        for n, k, rep in part:
-            try:
-                rows.append(_run_cell(spec, holdout, n, k, rep))
-            except Exception as exc:
-                raise type(exc)(f"cell (n={n}, k={k}, repeat={rep}): {exc}") from exc
-        return rows
+    def run(cell):
+        n, k, rep = cell
+        try:
+            return _run_cell(spec, holdout, n, k, rep)
+        except Exception as exc:
+            raise type(exc)(f"cell (n={n}, k={k}, repeat={rep}): {exc}") from exc
 
-    workers = min(spec.threads, len(cells))
-    if workers > 1 and hasattr(os, "fork"):
-        rows = [None] * len(cells)
-        parts = [cells[w::workers] for w in range(workers)]
-        for w, part_rows in enumerate(_run_forked(run, parts)):
-            rows[w::workers] = part_rows
-    else:
-        rows = run(cells)
+    rows = _fork_map(run, cells, spec.threads)
     return rows, sum(r.pop("descent_violations") for r in rows)
 
 

@@ -6,11 +6,9 @@ squared residual. Rank-deficient cells get explicit zero basis columns
 flagged degenerate, so the alternation is total. The model protocol, the
 evaluator (`empirical_error`), the alternation and the restarts are those of
 k-means; k-flats supplies `_nearest_flat`, the argmin of `_dist2_matrix`, as
-the assignment, `_refit_cells` as the update, and as the start the PCA of the
-Voronoi cells of k-means++ point seeds (`refit_cell` per cell). The update
-takes every offset from the k-means cell update `_cell_means`, which equals
-`refit_cell`'s `mean(axis=0)` bit for bit for D >= 2; at D = 1 the two sum
-in different orders and the offsets may differ by rounding. Within a
+the assignment, `_refit_cells` as the update, and as the start the same
+update of the Voronoi cells of k-means++ point seeds. Every offset, in a
+fit and in `refit_cell`, is the k-means cell update `_cell_means`. Within a
 restart, `_restart_steps` refits only the cells that rows entered or left
 and re-measures only the distance columns of the flats it replaced. Bases
 from outside (`Flat(...)`, `FlatsModel.from_json_dict`) are checked
@@ -26,7 +24,7 @@ import numpy as np
 from .errors import ParameterError
 from .geometry import Dataset
 from .kmeans import (FitConfig, _best_of_restarts, _cell_means, _descend,
-                     empirical_error, seed_kmeanspp)
+                     _update_live, empirical_error, seed_kmeanspp)
 # fsum_mean is unused here, but perfbench/layers.py traces it under this
 # module and its tracer test getattr()s every target, so it must stay
 from .util import fsum_mean, min_sqdist
@@ -163,9 +161,8 @@ def refit_cell(points: np.ndarray, d: int) -> Flat:
 
     Cells of rank r < d yield d - r explicit zero columns flagged
     degenerate. Raises on an empty cell; the caller owns the empty-cell
-    policy. The offset is `mean(axis=0)`, which for D >= 2 equals the
-    k-means cell update `_cell_means` that `_refit_cells` uses, bit for bit
-    (at D = 1 numpy sums pairwise, so the two differ by rounding).
+    policy. The flat is the k-flats cell update `_refit_cells` of the one
+    cell, so its offset is the k-means cell update, a row-order sum.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if pts.shape[0] < 1:
@@ -173,7 +170,7 @@ def refit_cell(points: np.ndarray, d: int) -> Flat:
     D = pts.shape[1]
     if not (0 <= d <= D):
         raise ParameterError(f"need 0 <= d <= D, got d={d}, D={D}")
-    return _flat_about(pts, pts.mean(axis=0), d)
+    return _refit_cells(pts, np.zeros(len(pts), np.intp), np.array([len(pts)]), d)[0]
 
 
 def _flat_about(pts: np.ndarray, offset: np.ndarray, d: int) -> Flat:
@@ -215,7 +212,7 @@ def _refit_cells(X: np.ndarray, assign: np.ndarray, counts: np.ndarray,
 def _restart_steps(n: int, k: int, d: int):
     """`_descend`'s (nearest, refit) for one restart, keeping its (n, k)
     distance buffer and its last update between passes. The first update
-    refits every cell: the start's flats are no refit of an assignment."""
+    refits every cell: the start's flats refit another assignment."""
     nearest = partial(_nearest_flat, out=np.empty((n, k)), measured=[None] * k)
     last = None
 
@@ -230,22 +227,24 @@ def fit(data: Dataset, k: int, d: int, cfg: Optional[FitConfig] = None,
         seed: int = 0, trace_sink: Optional[list] = None) -> FlatsModel:
     """Best-of-restarts k-flats.
 
-    Each restart seeds k centers by k-means++ on the points, forms the
-    point-distance Voronoi cells and refits each as a flat; every empty
-    cell becomes the degenerate flat through the one point farthest from
-    its nearest seed. It then alternates assign/refit until the assignment
-    is stable or the relative objective decrease drops below cfg.rel_tol.
+    Each restart seeds k centers by k-means++, refits their Voronoi cells
+    by the k-flats cell update and makes each empty cell the degenerate
+    flat through the point farthest from its nearest seed. It then
+    alternates assign/refit until the assignment is stable or the relative
+    objective decrease drops below cfg.rel_tol.
     After the first refit, a pass refits and re-measures only the cells
     whose rows changed, with the bits of refitting and measuring them all.
     """
     cfg = cfg or FitConfig()
     X = data.points
+    if not (0 <= d <= data.ambient_dim):
+        raise ParameterError(f"need 0 <= d <= D, got d={d}, D={data.ambient_dim}")
 
     def start(s):
         d2, assign = min_sqdist(X, seed_kmeanspp(data, k, s))
-        far = X[int(np.argmax(d2))]
-        cells = (np.compress(assign == j, X, axis=0) for j in range(k))
-        return [refit_cell(cell if len(cell) else far, d) for cell in cells]
+        far = int(np.argmax(d2))
+        return _update_live(X, assign, partial(_refit_cells, d=d),
+                            [_flat_about(X[[far]], X[far], d)] * k)
 
     flats, obj, iters, violations = _best_of_restarts(
         start, lambda f: _descend(X, f, *_restart_steps(len(X), k, d), cfg),
@@ -258,8 +257,6 @@ def refit_residual(data: Dataset, model: FlatsModel) -> float:
     """Fixed-point certificate: objective change after one more assign+refit
     (a cell that the assignment leaves empty keeps its flat)."""
     _, assign = model.nearest(data.points)
-    live, cell = np.unique(assign, return_inverse=True)
-    flats = list(model.flats)
-    for j, f in zip(live, _refit_cells(data.points, cell, np.bincount(cell), model.d)):
-        flats[j] = f
+    flats = _update_live(data.points, assign, partial(_refit_cells, d=model.d),
+                         model.flats)
     return abs(empirical_error(data, replace(model, flats=flats)) - model.objective)

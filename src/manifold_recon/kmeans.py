@@ -152,6 +152,20 @@ def _cell_means(X: np.ndarray, assign: np.ndarray,
     return sums / counts[:, None]
 
 
+def _update_live(X: np.ndarray, assign: np.ndarray, update, members):
+    """`members` with the member of each non-empty cell of `assign` from
+    `update(X, assign, counts)` run on those cells alone, renumbered in
+    order; an empty cell keeps its own member."""
+    counts = np.bincount(assign, minlength=len(members))
+    if counts.all():
+        return update(X, assign, counts)
+    live, out = np.flatnonzero(counts), list(members)
+    for j, member in zip(live, update(X, np.cumsum(counts > 0)[assign] - 1,
+                                      counts[live])):
+        out[j] = member
+    return out
+
+
 def _descend(X: np.ndarray, model, nearest, refit, cfg: FitConfig):
     """One run of the alternation from `model`, k centres or k flats.
 
@@ -233,10 +247,9 @@ def fit(data: Dataset, k: int, cfg: Optional[FitConfig] = None, seed: int = 0,
 def center_of_mass_residual(data: Dataset, model: MeansModel) -> float:
     """Max per-coordinate deviation of each center from its Voronoi cell mean.
 
-    Local-optimality certificate: at a Lloyd fixed point this is ~0. Cells
-    that are empty under the final assignment are skipped.
+    Local-optimality certificate: at a Lloyd fixed point this is ~0. A cell
+    that the final assignment leaves empty keeps its center, so counts 0.
     """
     _, assign = model.nearest(data.points)
-    live, cell = np.unique(assign, return_inverse=True)
-    means = _cell_means(data.points, cell, np.bincount(cell))
-    return float(np.max(np.abs(means - model.centers[live])))
+    means = _update_live(data.points, assign, _cell_means, model.centers)
+    return float(np.max(np.abs(np.subtract(means, model.centers))))

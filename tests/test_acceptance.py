@@ -1,4 +1,4 @@
-"""Acceptance gate: the nine binding checks for this package.
+"""Acceptance gate: the ten binding checks for this package.
 
 Each test prints a single PASS/FAIL line (run with ``pytest -s`` to see
 them for passing tests too).  Criterion 1 compares each seed's two-sample
@@ -283,4 +283,31 @@ def test_criterion_9_statistical_gap_coverage():
     ok = covered >= 190
     report(9, ok, f"coverage {covered}/200 (need >=190); bound {bound:.3f}, "
                   f"max observed gap {max(gaps):.5f}")
+    assert ok
+
+
+def test_criterion_10_approximation_orders():
+    """Hold-out error over k falls as k^(-2/d) for k-means and k^(-4/d) for
+    k-flats (the paper's approximation orders): each log-log slope within
+    0.15 of its order, and k-flats steeper by at least 0.8 on each manifold."""
+    ks = [4, 8, 16, 32]
+    details, ok = [], True
+    for name, manifold in (("circle", CIRCLE), ("S^2", S2)):
+        d = manifold.intrinsic_dim
+        slopes = {}
+        for algorithm, order in (("kmeans", -2 / d), ("kflats", -4 / d)):
+            spec = harness.ExperimentSpec(
+                manifold=manifold, train_sizes=[5000], k_grid=ks,
+                holdout_size=20_000, algorithm=algorithm, repeats=1,
+                base_seed=10, threads=2,
+                fit_config=kmeans.FitConfig(max_iters=100, restarts=3))
+            curve = harness.tradeoff_experiment(spec).curve(5000)
+            slope = harness.fit_loglog(ks, [err for _, err in curve]).slope
+            slopes[algorithm] = slope
+            ok &= abs(slope - order) <= 0.15
+            details.append(f"{name} {algorithm} {slope:.3f} ({order:.0f})")
+        ok &= slopes["kflats"] <= slopes["kmeans"] - 0.8
+    report(10, ok, "slope of hold-out error over k = 4..32 at n=5000 (order): "
+                   + ", ".join(details) + "; need each within 0.15 of its "
+                   "order and k-flats steeper by >= 0.8 on each manifold")
     assert ok

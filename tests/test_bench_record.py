@@ -43,3 +43,16 @@ def test_sign_test_p_over_the_pairs(change, wins, p):
     metric = bench_record.compare(_runs([2.0] * 10), _runs(change), list(range(10)))["run_s"]
     assert metric["change_wins"] == wins
     assert metric["sign_test_p"] == p
+
+
+@pytest.mark.parametrize("change, exceeds", [
+    ([1.0] * 10, False),  # the median moved by 2.0, no more than the spread
+    ([0.5] * 10, True),   # by 2.5, a gain beyond it
+    ([5.5] * 10, True),   # by 2.5, a loss beyond it
+])
+def test_median_gap_against_the_parents_spread(change, exceeds):
+    # the parent's median is 3.0 between quartiles 2.0 and 4.0
+    parent = [0.0, 1.0, 2.0, 2.0, 3.0, 3.0, 4.0, 4.0, 5.0, 5.0]
+    metric = bench_record.compare(_runs(parent), _runs(change), list(range(10)))["run_s"]
+    assert metric["parent_iqr"] == 2.0
+    assert metric["median_gap_exceeds_iqr"] is exceeds

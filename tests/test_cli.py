@@ -384,14 +384,17 @@ SELECT_K = ["select-k", "--kind", "circle", "--d", "1", "--D", "2",
     ["bounds", "--preset", "sphere", "--d", "2", "--n", "100", "--k", "4",
      "--curvature", "nan"],
     ["fit-kmeans", "--data", "{data}", "--k", "2", "--rel-tol", "nan"],
+    ["fit-kflats", "--data", "{data}", "--k", "2", "--d", "-1"],
+    ["fit-kflats", "--data", "{data}", "--k", "2", "--d", "4"],
     ["oracle-check", "--trials", "0"],
     TRADEOFF + ["--threads", "0"],
     ["rates", *TREND, "--threads", "0"],
     [*SELECT_K, "--threads", "0"],
 ], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
 def test_non_finite_or_count_below_one_is_compute_error(tmp_path, capsys, argv):
-    data = tmp_path / "data"
-    assert run(*SAMPLE, "--out", str(data)) == 0
+    data = tmp_path / "data"  # in R^3, so flat dims -1 and 4 are out of range
+    assert run("sample", "--kind", "sphere", "--d", "2", "--D", "3", "--n", "20",
+               "--out", str(data)) == 0
     out = tmp_path / "o"
     argv = [str(data / "dataset.mrc1") if a == "{data}" else a for a in argv]
     assert run(*argv, "--out", str(out)) == cli.EXIT_COMPUTE

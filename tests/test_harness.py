@@ -239,20 +239,25 @@ def test_rate_experiment_is_the_auto_grid(schedule):
 
 
 def test_rates_and_select_k_honour_threads(monkeypatch):
-    workers = []
-    run_forked = harness._run_forked
+    workers, forks = [], []
+    fork_map, fork = harness._fork_map, os.fork
 
-    def recording(job, parts):
-        workers.append(len(parts))
-        return run_forked(job, parts)
+    def recording(fn, items, n):
+        workers.append(n)
+        return fork_map(fn, items, n)
 
-    monkeypatch.setattr(harness, "_run_forked", recording)
+    def counting():
+        forks.append(None)
+        return fork()
+
+    monkeypatch.setattr(harness, "_fork_map", recording)
+    monkeypatch.setattr(os, "fork", counting)
 
     spec = small_spec(train_sizes=[50, 200, 1000, 5000], k_grid="auto", repeats=2)
     serial = harness.rate_experiment(spec)
-    assert workers == []
+    assert workers == [1] and forks == []
     threaded = harness.rate_experiment(replace(spec, threads=2))
-    assert workers == [2]
+    assert workers == [1, 2] and len(forks) == 2
     assert without_seconds(threaded.rows) == without_seconds(serial.rows)
     assert threaded.rate_fit == serial.rate_fit
 
@@ -262,9 +267,10 @@ def test_rates_and_select_k_honour_threads(monkeypatch):
     k_threaded, threaded = harness.select_k(replace(spec, threads=2))
     assert k_threaded == k_serial
     assert without_seconds(threaded.rows) == without_seconds(serial.rows)
+    assert workers == [1, 2, 1, 2] and len(forks) == 4
     # never more workers than cells
     harness.tradeoff_experiment(small_spec(k_grid=[2], repeats=2, threads=8))
-    assert workers == [2, 2, 2]
+    assert workers == [1, 2, 1, 2, 8] and len(forks) == 6
 
 
 def assert_no_child_left():

@@ -186,8 +186,9 @@ def test_validation_errors():
         kflats.fit(ds, 0, 1)
     with pytest.raises(ParameterError):
         kflats.fit(ds, 5, 1)
-    with pytest.raises(ParameterError):
-        kflats.fit(ds, 2, 4)
+    for d in (-1, 4):
+        with pytest.raises(ParameterError, match=f"^need 0 <= d <= D, got d={d}, D=3$"):
+            kflats.fit(ds, 2, d)
     with pytest.raises(ParameterError):
         kflats.refit_cell(np.zeros((3, 2)), 3)
 
@@ -244,10 +245,10 @@ def test_refit_basis_meets_eigen_residual_contract(n, D, rank, seed):
 
 @st.composite
 def labelled_clouds(draw):
-    """(X, assign) with D >= 2: rows drawn with repeats from a small pool
+    """(X, assign) with D >= 1: rows drawn with repeats from a small pool
     (so duplicate rows and rank-deficient cells are common), the cloud
     shifted by 0 or +-1e6, and every label in 0..k-1 used."""
-    D = draw(st.integers(2, 6))
+    D = draw(st.integers(1, 6))
     pool = draw(arrays(np.float64, st.tuples(st.integers(1, 8), st.just(D)),
                        elements=st.floats(-5, 5, allow_nan=False, width=64)))
     rows = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=40))
@@ -309,7 +310,8 @@ def test_every_refit_meets_the_flat_check(cloud):
 
 def test_refit_cells_offset_is_sequential_sum_at_d1():
     # at D = 1 numpy's mean sums the one column pairwise (5/9 here), while
-    # the cell update sums it in row order (6/9); the offset is the latter
+    # the cell update sums it in row order (6/9); every offset is the latter,
+    # refit_cell's too
     col = np.array([1e16, 1.0, -1e16, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 2.0])
     X = col[:, None]
     assign = np.array([0, 0, 0, 0, 0, 0, 0, 0, 0, 1])
@@ -317,10 +319,12 @@ def test_refit_cells_offset_is_sequential_sum_at_d1():
     total = 0.0
     for v in col[:9]:
         total += v
+    assert total / 9 == 6 / 9 and col[:9].mean() == 5 / 9
     flats = kflats._refit_cells(X, assign, counts, 1)
-    assert flats[0].offset.tolist() == [total / 9]
+    assert flats[0].offset.tolist() == [6 / 9]
     assert np.array_equal(flats[0].offset, _cell_means(X, assign, counts)[0])
     assert flats[1].offset.tolist() == [2.0] and flats[1].degenerate.all()
+    assert kflats.refit_cell(X[:9], 1).offset.tolist() == [6 / 9]
 
 
 def _same_flats(got, want):

@@ -271,6 +271,28 @@ def test_center_of_mass_residual_is_zero_at_fixed_point():
     assert km.center_of_mass_residual(ds, m) < 1e-9
 
 
+def test_update_live_keeps_the_members_of_empty_cells():
+    X = np.array([[0.0, 0.0], [2.0, 0.0], [5.0, 5.0], [7.0, 5.0]])
+    members = np.full((4, 2), -1.0)
+    seen = []
+
+    def update(X, assign, counts):
+        seen.append((assign.tolist(), counts.tolist()))
+        return km._cell_means(X, assign, counts)
+
+    # cells 1 and 3 are empty: the update sees cells 0 and 2 as 0 and 1
+    got = km._update_live(X, np.array([0, 0, 2, 2]), update, members)
+    assert np.array_equal(got, [[1.0, 0.0], [-1.0, -1.0], [6.0, 5.0], [-1.0, -1.0]])
+    assert seen == [([0, 0, 1, 1], [2, 2])]
+    got = km._update_live(X, np.array([1, 1, 0, 0]), update, members[:2])
+    assert np.array_equal(got, [[6.0, 5.0], [1.0, 0.0]])
+    assert seen[1] == ([1, 1, 0, 0], [2, 2])
+    # a center whose cell is empty counts 0 in the certificate
+    m = km.MeansModel(centers=[[1.0, 0.0], [9.0, 9.0], [6.0, 5.0]], k=3,
+                      objective=1.0, iterations=1, seed=0)
+    assert km.center_of_mass_residual(Dataset(X), m) == 0.0
+
+
 def test_json_round_trip():
     ds = sample_sphere(d=1, D=2, n=60, seed=5)
     m = km.fit(ds, 3, seed=5)

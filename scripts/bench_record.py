@@ -47,15 +47,19 @@ def git(*args):
 
 
 def load(paths):
-    """{(workload, trace): {seed: result}} from run.py result files."""
+    """{(workload, trace): {seed: result}} from run.py result files. A file
+    with one set-up time is a ``--quick`` run (the perfbench tests write
+    them under full-run names); full runs time five."""
     runs = {}
     for path in paths:
         m = NAME.search(Path(path).name)
         if not m:
             sys.exit(f"error: {path} is not named <workload>-seed<n>-trace<t>.json")
         with open(path) as fh:
-            key = (m["workload"], int(m["trace"]))
-            runs.setdefault(key, {})[int(m["seed"])] = json.load(fh)
+            result = json.load(fh)
+        if len(result["setup_s"]) == 1:
+            sys.exit(f"error: {path} holds one set-up time, so it is a --quick run")
+        runs.setdefault((m["workload"], int(m["trace"])), {})[int(m["seed"])] = result
     return runs
 
 

@@ -3,10 +3,11 @@
 Thin adapter over the library: every result is byte-identical to calling
 the corresponding function with the same parameters and seed. Randomized
 commands default to seed 0, never wall-clock seeding. The keys of a
-`--config` JSON file become `--key=value` flags right after the command
-name, so argparse types them and the flags typed after them win. A command
+`--config` JSON file, given before the command, become `--key=value` flags
+right after the command name, so argparse types them and the flags typed
+after them win. Each subcommand's parser binds its handler (`run`), which
 returns its artifacts and a summary line; `main` creates `--out` before the
-command runs and writes them. Exit codes: 0 ok, 2 usage, 3 data/file, 4 compute.
+handler runs and writes them. Exit codes: 0 ok, 2 usage, 3 data/file, 4 compute.
 """
 
 import argparse
@@ -54,17 +55,19 @@ def build_parser() -> argparse.ArgumentParser:
         prog="manifold-recon",
         description="Piecewise-constant / piecewise-linear manifold "
                     "reconstruction: fits, bounds, and experiments.")
-    p.add_argument("--config", help="JSON config file; flags override its keys")
+    p.add_argument("--config", help="JSON config file (any path); flags override its keys")
     sub = p.add_subparsers(dest="command", metavar="command", required=True)
 
-    def cmd(name, **kwargs):
-        sp = sub.add_parser(name, **kwargs)
+    def cmd(name, run, help):
+        # the defaults hold every attribute `run` reads that no flag sets
+        sp = sub.add_parser(name, help=help)
         sp.add_argument("--out", default="out", help="output directory")
         sp.add_argument("--seed", type=int, default=0)
+        sp.set_defaults(run=run, max_iters=_FIT.max_iters, rel_tol=_FIT.rel_tol)
         return sp
 
-    def experiment(name, help, kind, d, D, repeats):
-        sp = cmd(name, help=help)
+    def experiment(name, run, help, kind, d, D, repeats):
+        sp = cmd(name, run, help)
         sp.add_argument("--kind", choices=["sphere", "circle", "disk"], default=kind)
         sp.add_argument("--d", type=int, default=d)
         sp.add_argument("--D", type=int, default=D)
@@ -76,27 +79,28 @@ def build_parser() -> argparse.ArgumentParser:
                              "one BLAS thread; 1 runs them in this process")
         return sp
 
-    sp = cmd("sample", help="draw a synthetic dataset and write the container")
+    sp = cmd("sample", _cmd_sample, "draw a synthetic dataset and write the container")
     sp.add_argument("--kind", choices=["sphere", "circle", "disk"], required=True)
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--D", type=int, required=True)
     sp.add_argument("--n", type=int, required=True)
 
-    sp = cmd("import-mnist", help="convert an IDX3 image file to the container")
+    sp = cmd("import-mnist", _cmd_import_mnist,
+             "convert an IDX3 image file to the container")
     sp.add_argument("--images", required=True)
     sp.add_argument("--limit", type=int, default=None)
 
-    for name in ("fit-kmeans", "fit-kflats"):
-        sp = cmd(name, help=f"{name.split('-')[1]} fit on a dataset file")
+    for family in ("kmeans", "kflats"):
+        sp = cmd(f"fit-{family}", _cmd_fit, f"{family} fit on a dataset file")
         sp.add_argument("--data", required=True, help=".mrc1 container or .csv")
         sp.add_argument("--k", type=int, required=True)
-        if name == "fit-kflats":
+        if family == "kflats":
             sp.add_argument("--d", type=int, required=True)
         sp.add_argument("--restarts", type=int, default=_FIT.restarts)
         sp.add_argument("--max-iters", type=int, default=_FIT.max_iters)
         sp.add_argument("--rel-tol", type=float, default=_FIT.rel_tol)
 
-    sp = cmd("bounds", help="closed-form bound decomposition for one (n, k)")
+    sp = cmd("bounds", _cmd_bounds, "closed-form bound decomposition for one (n, k)")
     sp.add_argument("--family", choices=["kmeans", "kflats"], default="kmeans")
     sp.add_argument("--preset", choices=["sphere", "disk"], default=None,
                     help="fill density_norm/curvature for a uniform manifold")
@@ -110,26 +114,32 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--empirical", type=float, default=0.0)
     sp.add_argument("--holdout", type=float, default=0.0)
 
-    sp = cmd("example1", help="two-sample 100-sphere tradeoff example")
+    sp = cmd("example1", _cmd_example1, "two-sample 100-sphere tradeoff example")
     sp.add_argument("--holdout-size", type=int, default=100_000)
 
-    sp = experiment("tradeoff", "hold-out error curves over a (n, k) grid",
+    sp = experiment("tradeoff", _cmd_tradeoff, "hold-out error curves over a (n, k) grid",
                     "sphere", 19, 20, 5)
     sp.add_argument("--algorithm", choices=list(harness.ALGORITHMS), default="kmeans")
     sp.add_argument("--train-sizes", type=_int_list, default=[50, 200, 1000, 5000])
     sp.add_argument("--k-grid", type=_k_grid, default=list(range(2, 41)),
                     help="comma list, lo:hi range, or 'auto'")
 
-    sp = experiment("rates", "log-log convergence-rate fit along the balanced-k schedule",
+    sp = experiment("rates", _cmd_rates,
+                    "log-log convergence-rate fit along the balanced-k schedule",
                     "circle", 1, 2, 3)
-    sp.add_argument("--schedule", choices=["kmeans", "kflats"], default="kmeans")
+    sp.add_argument("--schedule", dest="algorithm", choices=["kmeans", "kflats"],
+                    default="kmeans")
     sp.add_argument("--train-sizes", type=_int_list, default=[100, 1000, 10000, 100000])
+    sp.set_defaults(k_grid="auto")
 
-    sp = experiment("select-k", "hold-out model selection of k", "sphere", 2, 3, 5)
+    sp = experiment("select-k", _cmd_select_k, "hold-out model selection of k",
+                    "sphere", 2, 3, 5)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--k-grid", type=_k_grid, required=True)
+    sp.set_defaults(algorithm="kmeans")
 
-    sp = cmd("oracle-check", help="best-of-restarts fit vs brute-force optimum")
+    sp = cmd("oracle-check", _cmd_oracle_check,
+             "best-of-restarts fit vs brute-force optimum")
     sp.add_argument("--n", type=int, default=8)
     sp.add_argument("--k", type=int, default=2)
     sp.add_argument("--trials", type=int, default=100)
@@ -138,8 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _fit_config(args) -> FitConfig:
-    return FitConfig(max_iters=getattr(args, "max_iters", _FIT.max_iters),
-                     rel_tol=getattr(args, "rel_tol", _FIT.rel_tol),
+    return FitConfig(max_iters=args.max_iters, rel_tol=args.rel_tol,
                      restarts=args.restarts)
 
 
@@ -153,18 +162,17 @@ def _cmd_import_mnist(args):
     return {"dataset.mrc1": ds}, f"{ds.size} x {ds.ambient_dim} points"
 
 
-def _cmd_fit_kmeans(args):
+def _cmd_fit(args):
     data = storage.load_any(args.data)
-    model = kmeans.fit(data, args.k, _fit_config(args), seed=args.seed)
-    return ({"kmeans_model.json": model.to_json_dict()},
-            f"k={args.k} objective={model.objective!r}")
-
-
-def _cmd_fit_kflats(args):
-    data = storage.load_any(args.data)
-    model = kflats.fit(data, args.k, args.d, _fit_config(args), seed=args.seed)
-    return ({"kflats_model.json": model.to_json_dict()},
-            f"k={args.k} d={args.d} objective={model.objective!r}")
+    family = args.command.removeprefix("fit-")
+    if family == "kflats":
+        model = kflats.fit(data, args.k, args.d, _fit_config(args), seed=args.seed)
+        shape = f"k={args.k} d={args.d}"
+    else:
+        model = kmeans.fit(data, args.k, _fit_config(args), seed=args.seed)
+        shape = f"k={args.k}"
+    return ({f"{family}_model.json": model.to_json_dict()},
+            f"{shape} objective={model.objective!r}")
 
 
 def _cmd_bounds(args):
@@ -191,35 +199,29 @@ def _cmd_example1(args):
             f"e_k1={e1!r} e_k2={e2!r} single_mean_wins={e1 < e2}")
 
 
-def _experiment_spec(args, k_grid) -> harness.ExperimentSpec:
+def _experiment_spec(args, train_sizes) -> harness.ExperimentSpec:
     return harness.ExperimentSpec(
-        manifold=ManifoldSpec(args.kind, args.d, args.D),
-        train_sizes=args.train_sizes if hasattr(args, "train_sizes") else [args.n],
-        k_grid=k_grid,
-        holdout_size=args.holdout_size,
-        algorithm=getattr(args, "algorithm", "kmeans"),
-        repeats=args.repeats,
-        base_seed=args.seed,
-        fit_config=_fit_config(args),
+        manifold=ManifoldSpec(args.kind, args.d, args.D), train_sizes=train_sizes,
+        k_grid=args.k_grid, holdout_size=args.holdout_size, algorithm=args.algorithm,
+        repeats=args.repeats, base_seed=args.seed, fit_config=_fit_config(args),
         threads=args.threads)
 
 
 def _cmd_tradeoff(args):
-    report = harness.tradeoff_experiment(_experiment_spec(args, args.k_grid))
+    report = harness.tradeoff_experiment(_experiment_spec(args, args.train_sizes))
     return (report.files(),
             f"{len(report.rows)} cells, descent_violations={report.descent_violations}")
 
 
 def _cmd_rates(args):
-    spec = _experiment_spec(args, "auto")
-    report = harness.rate_experiment(spec, schedule=args.schedule)
+    report = harness.rate_experiment(_experiment_spec(args, args.train_sizes))
     rf = report.rate_fit
-    return (report.files(), f"schedule={args.schedule} "
+    return (report.files(), f"schedule={args.algorithm} "
             f"slope={rf.slope!r} residual={rf.residual!r}")
 
 
 def _cmd_select_k(args):
-    k_star, report = harness.select_k(_experiment_spec(args, args.k_grid))
+    k_star, report = harness.select_k(_experiment_spec(args, [args.n]))
     selected = {"k_star": k_star, "n": args.n,
                 "k_grid": sorted({r["k"] for r in report.rows}),
                 "descent_violations": report.descent_violations}
@@ -232,7 +234,7 @@ def _cmd_oracle_check(args):
         raise ParameterError("trials must be >= 1")
     rng_matches = 0
     ratios = []
-    cfg = FitConfig(restarts=args.restarts)
+    cfg = _fit_config(args)
     for t in range(args.trials):
         rs = mix_seed(args.seed, t)
         data = Dataset(np.random.default_rng(rs).uniform(-0.5, 0.5, size=(args.n, 2)))
@@ -245,20 +247,6 @@ def _cmd_oracle_check(args):
                "matches": rng_matches, "mean_ratio": float(np.mean(ratios))}
     return ({"oracle_check.json": payload}, f"{rng_matches}/{args.trials} global, "
             f"mean_ratio={payload['mean_ratio']!r}")
-
-
-_HANDLERS = {
-    "sample": _cmd_sample,
-    "import-mnist": _cmd_import_mnist,
-    "fit-kmeans": _cmd_fit_kmeans,
-    "fit-kflats": _cmd_fit_kflats,
-    "bounds": _cmd_bounds,
-    "example1": _cmd_example1,
-    "tradeoff": _cmd_tradeoff,
-    "rates": _cmd_rates,
-    "select-k": _cmd_select_k,
-    "oracle-check": _cmd_oracle_check,
-}
 
 
 def _write(path: Path, artifact) -> None:
@@ -288,20 +276,21 @@ def _config_flags(parser, path):
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    # --config is read only before the command; its flags go right after
-    # the command name, so the flags typed after them win
-    at = next((i for i, a in enumerate(argv) if a in _HANDLERS), len(argv))
+    # --config is read only before the command, which starts the remainder;
+    # its flags go right after the command name, so the flags typed after win
     pre = argparse.ArgumentParser(prog=parser.prog, add_help=False)
     pre.add_argument("--config")
+    pre.add_argument("rest", nargs=argparse.REMAINDER, help=argparse.SUPPRESS)
     try:
-        config = pre.parse_known_args(argv[:at])[0].config
-        argv[at + 1:at + 1] = _config_flags(parser, config) if config else []
+        known = pre.parse_known_args(argv)[0]
+        at = len(argv) - len(known.rest) + 1
+        argv[at:at] = _config_flags(parser, known.config) if known.config else []
         args = parser.parse_args(argv)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)  # a bad --out fails before the work
         if not os.access(out, os.W_OK | os.X_OK):
             raise PermissionError(f"cannot write to {out}")
-        artifacts, summary = _HANDLERS[args.command](args)
+        artifacts, summary = args.run(args)
         for name, artifact in artifacts.items():
             _write(out / name, artifact)
         print(f"{args.command}: {summary} -> {out}")

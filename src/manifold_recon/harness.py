@@ -47,7 +47,7 @@ class ExperimentSpec:
     k_grid: Union[Sequence[int], str]   # explicit grid or "auto" (balanced schedule)
     holdout_size: int = 100_000
     algorithm: str = "kmeans"
-    flat_dim: Optional[int] = None      # defaults to manifold.intrinsic_dim
+    flat_dim: Optional[int] = None      # None or manifold.intrinsic_dim
     repeats: int = 5
     base_seed: int = 0
     fit_config: FitConfig = field(default_factory=FitConfig)
@@ -65,6 +65,10 @@ class ExperimentSpec:
             raise ParameterError("holdout_size must be >= 1000")
         if self.algorithm not in ALGORITHMS:
             raise ParameterError(f"algorithm must be one of {ALGORITHMS}")
+        if self.flat_dim not in (None, self.manifold.intrinsic_dim):
+            # the bound rows and the auto k schedule are the manifold's
+            raise ParameterError("flat_dim must be None or the manifold's "
+                                 f"intrinsic dimension {self.manifold.intrinsic_dim}")
         if self.repeats < 1:
             raise ParameterError("repeats must be >= 1")
         if self.threads < 1:
@@ -161,8 +165,8 @@ def _fit_cell(spec: ExperimentSpec, train: Dataset, k: int, seed: int):
     if spec.algorithm == "kmeans":
         return kmeans.fit(train, k, spec.fit_config, seed=seed)
     if spec.algorithm == "kflats":
-        d = spec.flat_dim if spec.flat_dim is not None else spec.manifold.intrinsic_dim
-        return kflats.fit(train, k, d, spec.fit_config, seed=seed)
+        return kflats.fit(train, k, spec.manifold.intrinsic_dim, spec.fit_config,
+                          seed=seed)
     # seeding only: each run scores its k-means++ start, with no descent
     centers, obj, iters, _ = kmeans._best_of_restarts(
         lambda s: kmeans.seed_kmeanspp(train, k, s),

@@ -97,6 +97,10 @@ class FlatsModel:
         flats = tuple(self.flats)
         if len(flats) != self.k or self.k < 1:
             raise ParameterError("need exactly k flats with k >= 1")
+        D = flats[0].ambient_dim
+        if any(f.ambient_dim != D or f.basis.shape[1] != self.d for f in flats):
+            raise ParameterError(f"every flat must lie in R^{D}, as the first does, "
+                                 f"with d={self.d} basis columns")
         if self.objective < 0:
             raise ParameterError("objective must be >= 0")
         object.__setattr__(self, "flats", flats)

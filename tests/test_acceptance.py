@@ -97,12 +97,14 @@ def test_criterion_1_example1_reproduction():
     c_quad = mpmath.quad(lambda t: t * dens(t), [0, 1]) / mpmath.quad(dens, [0, 1])
     assert abs(c - float(c_quad)) <= 1e-15
 
-    z1s, z2s, refs2 = [], [], []
-    order = 0
-    for s in range(100):
+    def errors_and_rho(s):
         e1, e2 = harness.example1(s, holdout_size=holdout)
         x1, x2 = sample_sphere(100, 101, 2, mix_seed(s, 1)).points
-        rho = float(x1 @ x2)
+        return e1, e2, float(x1 @ x2)
+
+    z1s, z2s, refs2 = [], [], []
+    order = 0
+    for e1, e2, rho in harness._fork_map(errors_and_rho, range(100), 2):
         ref1 = (3 + rho) / 2
         ref2 = 2 - math.sqrt(2 - 2 * rho) * c
         se1 = math.sqrt(2 * (1 + rho) / n / holdout)
@@ -193,12 +195,13 @@ def test_criterion_6_kflats_exactness_and_superiority():
     disk = ManifoldSpec(kind="disk", intrinsic_dim=2, ambient_dim=5)
     flat_obj = kflats.fit(disk.sample(500, seed=1), 1, 2, seed=1).objective
 
-    km_errs, kf_errs = [], []
-    for s in range(10):
+    def errors(s):
         train = S2.sample(2000, seed=mix_seed(606, s, 0))
         holdout = S2.sample(20_000, seed=mix_seed(606, s, 1))
-        km_errs.append(harness.holdout_error(kmeans.fit(train, 20, seed=s), holdout))
-        kf_errs.append(harness.holdout_error(kflats.fit(train, 20, 2, seed=s), holdout))
+        return (harness.holdout_error(kmeans.fit(train, 20, seed=s), holdout),
+                harness.holdout_error(kflats.fit(train, 20, 2, seed=s), holdout))
+
+    km_errs, kf_errs = zip(*harness._fork_map(errors, range(10), 2))
     km_mean, kf_mean = float(np.mean(km_errs)), float(np.mean(kf_errs))
     ok = flat_obj < 1e-12 and kf_mean < km_mean
     report(6, ok, f"flat-disk k=1 objective {flat_obj:.2e} (need < 1e-12); "
@@ -271,15 +274,15 @@ def test_criterion_9_statistical_gap_coverage():
     """|empirical - holdout| <= stat_kmeans bound in >= 95% of 200 trials."""
     n, k, delta = 2000, 8, 0.05
     bound = bounds.stat_kmeans(n, k, delta)
-    covered = 0
-    gaps = []
-    for t in range(200):
+
+    def gap(t):
         train = S2.sample(n, seed=mix_seed(909, t, 0))
         holdout = S2.sample(5000, seed=mix_seed(909, t, 1))
         model = kmeans.fit(train, k, kmeans.FitConfig(restarts=5), seed=t)
-        gap = abs(model.objective - harness.holdout_error(model, holdout))
-        gaps.append(gap)
-        covered += gap <= bound
+        return abs(model.objective - harness.holdout_error(model, holdout))
+
+    gaps = harness._fork_map(gap, range(200), 2)
+    covered = sum(g <= bound for g in gaps)
     ok = covered >= 190
     report(9, ok, f"coverage {covered}/200 (need >=190); bound {bound:.3f}, "
                   f"max observed gap {max(gaps):.5f}")

@@ -2,6 +2,8 @@
 about the pairs."""
 
 import importlib.util
+import json
+import re
 from pathlib import Path
 
 import pytest
@@ -56,3 +58,14 @@ def test_median_gap_against_the_parents_spread(change, exceeds):
     metric = bench_record.compare(_runs(parent), _runs(change), list(range(10)))["run_s"]
     assert metric["parent_iqr"] == 2.0
     assert metric["median_gap_exceeds_iqr"] is exceeds
+
+
+def test_quick_results_are_refused(tmp_path):
+    full = tmp_path / "kflats-s2-seed1-trace0.json"
+    full.write_text(json.dumps({"setup_s": [0.2] * 5, "metrics": {}}))
+    assert list(bench_record.load([full])) == [("kflats-s2", 0)]
+    quick = tmp_path / "kflats-s2-seed3-trace1.json"
+    quick.write_text(json.dumps({"setup_s": [0.2], "metrics": {}}))
+    message = f"^error: {re.escape(str(quick))} holds one set-up time"
+    with pytest.raises(SystemExit, match=message):
+        bench_record.load([full, quick])

@@ -1,5 +1,6 @@
 """Command-line interface: artifacts, exit codes, config merging."""
 
+import argparse
 import json
 import os
 import struct
@@ -14,6 +15,11 @@ from manifold_recon.kmeans import MeansModel
 
 def run(*argv):
     return cli.main(list(argv))
+
+
+# the subcommands, as the parser knows them
+COMMANDS = list(next(a for a in cli.build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)).choices)
 
 
 def test_no_command_is_usage_error(capsys):
@@ -336,6 +342,15 @@ def test_config_value_is_checked_by_its_flag(tmp_path, capsys, case):
     assert flag in capsys.readouterr().err
 
 
+def test_config_named_like_a_command(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # so that the config's path is the bare name
+    (tmp_path / "tradeoff").write_text(json.dumps({"train_sizes": [40]}))
+    assert run("--config", "tradeoff", *TRADEOFF, "--out", "a") == 0
+    assert run(*TRADEOFF, "--train-sizes", "40", "--out", "b") == 0
+    assert (_artifact(tmp_path / "a" / "summary.json")
+            == _artifact(tmp_path / "b" / "summary.json"))
+
+
 def test_config_after_the_command_is_usage_error(tmp_path):
     conf = tmp_path / "conf.json"
     conf.write_text(json.dumps({"n": 5}))
@@ -343,7 +358,7 @@ def test_config_after_the_command_is_usage_error(tmp_path):
                "--out", str(tmp_path)) == cli.EXIT_USAGE
 
 
-@pytest.mark.parametrize("command", [None, *cli._HANDLERS])
+@pytest.mark.parametrize("command", [None, *COMMANDS])
 def test_help_exits_zero(tmp_path, capsys, command):
     conf = tmp_path / "conf.json"
     conf.write_text(json.dumps({"seed": 1}))
@@ -459,7 +474,11 @@ COMMAND_FILES = {
 }
 
 
-@pytest.mark.parametrize("command", cli._HANDLERS)
+def test_command_files_cover_every_command():
+    assert sorted(COMMAND_FILES) == sorted(COMMANDS)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
 def test_status_line_and_out_files(tmp_path, capsys, command):
     argv, files = COMMAND_FILES[command]
     inputs = tmp_path / "in"

@@ -362,6 +362,13 @@ def test_spec_validation():
         small_spec(repeats=0)
     with pytest.raises(ParameterError):
         small_spec(threads=0)
+    # bound rows and the auto k schedule use the circle's d = 1, so the
+    # flats must too
+    small_spec(algorithm="kflats", flat_dim=1)
+    for flat_dim in (0, 2, 5):
+        with pytest.raises(ParameterError, match="^flat_dim must be None or the "
+                                                 "manifold's intrinsic dimension 1$"):
+            small_spec(algorithm="kflats", flat_dim=flat_dim)
 
 
 def test_cell_failure_is_annotated_with_coordinates():

@@ -107,6 +107,19 @@ def test_flat_validation():
         kflats.FlatsModel.from_json_dict(obj)
 
 
+def test_model_rejects_flats_that_do_not_fit_it():
+    def flat(D, d):
+        return kflats.Flat(offset=np.zeros(D), basis=np.eye(D)[:, :d],
+                           degenerate=np.zeros(d, dtype=bool))
+
+    model = dict(k=2, d=1, objective=0.0, iterations=1, seed=0)
+    kflats.FlatsModel(flats=(flat(3, 1), flat(3, 1)), **model)
+    for other in (flat(2, 1), flat(3, 2)):  # another R^D, another d
+        with pytest.raises(ParameterError, match=r"^every flat must lie in R\^3, "
+                                                 "as the first does, with d=1 "):
+            kflats.FlatsModel(flats=(flat(3, 1), other), **model)
+
+
 def test_fit_recovers_flat_data_exactly():
     ds = sample_flat_disk(d=2, D=5, n=300, seed=2)
     m = kflats.fit(ds, 1, 2, FitConfig(restarts=3), seed=2)

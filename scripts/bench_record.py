@@ -11,7 +11,9 @@ the record holds, side by side, each metric's median and quartiles over the
 paired runs, how many pairs the change won on it with the exact two-sided
 sign-test p-value of those wins (ties dropped), the parent's
 interquartile distance with whether the two medians lie further apart than
-it, the failed share of operations and the seeds. ``--trace 1`` runs give
+it, the failed share of operations, the seeds and, per pair, whether the two
+runs printed the same fingerprint (the hash of the workload's fit objectives
+and hold-out errors), which shows the workloads whose numbers a change moved. ``--trace 1`` runs give
 the per-layer metrics the same way. The parent is named by the commit ``--parent-rev`` and its
 ``src/`` tree sha, the change by the sha of the ``src/`` tree staged in
 git (``HEAD:src`` once it is committed). The numpy and
@@ -99,6 +101,12 @@ def compare(parent, change, seeds):
     return out
 
 
+def same_fingerprints(parent, change, seeds):
+    """Per paired seed, whether the change's run printed the parent's
+    fingerprint: False marks a workload whose numbers the change moved."""
+    return [parent[s]["fingerprint"] == change[s]["fingerprint"] for s in seeds]
+
+
 def failed_share(runs, seeds):
     failed = sum(runs[s]["failed"] for s in seeds)
     attempted = sum(runs[s]["attempted"] for s in seeds)
@@ -158,6 +166,7 @@ def main(argv=None):
             continue
         other = change[(workload, trace)]
         entry = {"pairs": len(seeds), "seeds": seeds,
+                 "same_fingerprint": same_fingerprints(runs, other, seeds),
                  "harness_threads": threads[workload],
                  "metrics": compare(runs, other, seeds)}
         if not trace:

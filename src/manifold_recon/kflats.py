@@ -10,9 +10,11 @@ the assignment, `_refit_cells` as the update, and as the start the same
 update of the Voronoi cells of k-means++ point seeds. Every offset, in a
 fit and in `refit_cell`, is the k-means cell update `_cell_means`. Within a
 restart, `_restart_steps` refits only the cells that rows entered or left
-and re-measures only the distance columns of the flats it replaced. Bases
-from outside (`Flat(...)`, `FlatsModel.from_json_dict`) are checked
-orthonormal; the refits that `_flat_about` builds are not checked again.
+and re-measures only the distance rows of the flats it replaced. Bases
+from outside (`Flat(...)`, `FlatsModel.from_json_dict`) are checked finite
+and orthonormal; the refits that `_flat_about` builds are not checked again.
+The kernels read one contiguous (D, n) copy `Xt` per fit or `nearest` call, which
+`_descend` passes on; |R|^2 at D >= 3 and some d = 1 projections drift in the last bit.
 """
 
 from dataclasses import dataclass, field, replace
@@ -23,11 +25,9 @@ import numpy as np
 
 from .errors import ParameterError
 from .geometry import Dataset
-from .kmeans import (FitConfig, _best_of_restarts, _cell_means, _descend,
+from .kmeans import (FitConfig, _best_of_restarts, _cell_means, _descend, _json_floats,
                      _update_live, empirical_error, seed_kmeanspp)
-# fsum_mean is unused here, but perfbench/layers.py traces it under this
-# module and its tracer test getattr()s every target, so it must stay
-from .util import fsum_mean, min_sqdist
+from .util import fsum_mean, min_sqdist  # fsum_mean: perfbench traces it here
 
 # Eigen-solver contract, enforced by the refit_cell tests: basis vectors
 # satisfy the covariance eigen-residual ||C v - lambda v|| <= 1e-10 * ||C||
@@ -57,6 +57,8 @@ class Flat:
         mask = np.ascontiguousarray(self.degenerate, dtype=bool)
         if off.ndim != 1 or B.ndim != 2 or B.shape[0] != off.shape[0]:
             raise ParameterError("basis must be (D, d) with offset in R^D")
+        if not (np.isfinite(off).all() and np.isfinite(B).all()):
+            raise ParameterError(f"{'basis' if np.isfinite(off).all() else 'offset'} is not finite")
         if mask.shape != (B.shape[1],):
             raise ParameterError("degenerate mask must have one entry per column")
         gram = B.T @ B
@@ -101,8 +103,8 @@ class FlatsModel:
         if any(f.ambient_dim != D or f.basis.shape[1] != self.d for f in flats):
             raise ParameterError(f"every flat must lie in R^{D}, as the first does, "
                                  f"with d={self.d} basis columns")
-        if self.objective < 0:
-            raise ParameterError("objective must be >= 0")
+        if not 0.0 <= self.objective < np.inf:
+            raise ParameterError("objective must be finite and >= 0")
         object.__setattr__(self, "flats", flats)
 
     @property
@@ -110,8 +112,8 @@ class FlatsModel:
         return self.flats[0].ambient_dim
 
     def nearest(self, X: np.ndarray):
-        """(d2, assign) against the nearest flat, ties to the lowest index."""
-        return _nearest_flat(X, self.flats)
+        """(d2, assign) of each row of `X`: the nearest flat, ties to the lowest."""
+        return _nearest_flat(np.ascontiguousarray(X.T), self.flats)
 
     def to_json_dict(self) -> dict:
         return {
@@ -136,7 +138,7 @@ class FlatsModel:
         d, D = int(obj["d"]), int(obj["ambient_dim"])
         flats = tuple(
             Flat(offset=np.asarray(fo["offset"], dtype=np.float64),
-                 basis=np.asarray(fo["basis"], dtype=np.float64).reshape(D, d, order="F"),
+                 basis=_json_floats(fo["basis"], "basis", (D, d), "F"),
                  degenerate=np.asarray(fo["degenerate_mask"], dtype=bool))
             for fo in obj["flats"])
         return cls(flats=flats, k=int(obj["k"]), d=d,
@@ -144,18 +146,17 @@ class FlatsModel:
                    iterations=int(obj["iterations"]), seed=int(obj["seed"]))
 
 
-def _dist2_matrix(X: np.ndarray, flats, out=None, measured=None) -> np.ndarray:
-    """(n, k) squared residuals of every point against every flat. Given a
-    kept buffer `out` and the list `measured` of the flats its columns were
-    computed from, only the columns whose flat is another object are
-    recomputed (flats are frozen, so the others hold the same bits)."""
+def _dist2_matrix(Xt: np.ndarray, flats, out=None, measured=None) -> np.ndarray:
+    """(k, n) squared residuals of the columns of `Xt`: |R|^2 over the rows of
+    R = Xt - offset, less |B^T R|^2. Of a kept buffer `out`, only rows whose flat
+    is not the object `measured` lists are recomputed (flats are frozen)."""
     if out is None:
-        out, measured = np.empty((X.shape[0], len(flats))), [None] * len(flats)
+        out, measured = np.empty((len(flats), Xt.shape[1])), [None] * len(flats)
     for j, f in enumerate(flats):
         if measured[j] is not f:
-            R = X - f.offset
-            d2 = np.einsum("ij,ij->i", R, R) - np.square(R @ f.basis).sum(axis=1)
-            out[:, j] = np.maximum(d2, 0.0)
+            R = Xt - f.offset[:, None]
+            P = np.square(f.basis.T @ R)
+            np.maximum(np.square(R, out=R).sum(axis=0) - P.sum(axis=0), 0.0, out=out[j])
             measured[j] = f
     return out
 
@@ -171,58 +172,58 @@ def refit_cell(points: np.ndarray, d: int) -> Flat:
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if pts.shape[0] < 1:
         raise ParameterError("cannot refit an empty cell")
-    D = pts.shape[1]
-    if not (0 <= d <= D):
-        raise ParameterError(f"need 0 <= d <= D, got d={d}, D={D}")
-    return _refit_cells(pts, np.zeros(len(pts), np.intp), np.array([len(pts)]), d)[0]
+    if not (0 <= d <= pts.shape[1]):
+        raise ParameterError(f"need 0 <= d <= D, got d={d}, D={pts.shape[1]}")
+    return _refit_cells(pts.T, np.zeros(len(pts), np.intp), np.array([len(pts)]), d)[0]
 
 
-def _flat_about(pts: np.ndarray, offset: np.ndarray, d: int) -> Flat:
-    """The top-d principal directions of the non-empty cell `pts` about
+def _flat_about(cell: np.ndarray, offset: np.ndarray, d: int) -> Flat:
+    """The top-d principal directions of the non-empty (D, m) `cell` about
     `offset`, its mean."""
-    basis = np.zeros((pts.shape[1], d))
-    rank = 0
-    if d > 0 and pts.shape[0] > 1:
-        _, s, vt = np.linalg.svd(pts - offset, full_matrices=False)
+    basis, rank = np.zeros((cell.shape[0], d)), 0
+    if d > 0 and cell.shape[1] > 1:
+        _, s, vt = np.linalg.svd((cell - offset[:, None]).T, full_matrices=False)
         if s.size and s[0] > 0.0:
-            tol = s[0] * max(pts.shape) * _EPS
+            tol = s[0] * max(cell.shape) * _EPS
             rank = min(d, int(np.count_nonzero(s > tol)))
             basis[:, :rank] = vt[:rank].T
     return Flat._trusted(offset, basis, np.arange(d) >= rank)
 
 
-def _nearest_flat(X: np.ndarray, flats, out=None, measured=None):
-    """(d2, assign) against the nearest flat, ties to the lowest index."""
-    dist = _dist2_matrix(X, flats, out, measured)
-    assign = np.argmin(dist, axis=1)
-    return dist[np.arange(X.shape[0]), assign], assign
+def _nearest_flat(Xt: np.ndarray, flats, out=None, measured=None):
+    """(d2, assign) of each column of `Xt`: the nearest flat, ties to the lowest."""
+    dist = _dist2_matrix(Xt, flats, out, measured)
+    d2, assign = dist.min(axis=0), np.full(dist.shape[1], len(dist) - 1)
+    for j in range(len(dist) - 2, -1, -1):  # downwards: a tie takes the lowest index
+        np.putmask(assign, dist[j] == d2, j)
+    return d2, assign
 
 
-def _refit_cells(X: np.ndarray, assign: np.ndarray, counts: np.ndarray,
+def _refit_cells(Xt: np.ndarray, assign: np.ndarray, counts: np.ndarray,
                  d: int, last=None) -> list:
-    """k-flats cell update: the d-truncated PCA of every cell, about the
-    k-means cell update's means. Given `last`, the (assign, flats) of an
-    earlier update, a cell that no row entered or left keeps its flat: a
-    cell's flat depends only on X and its rows, taken in row order."""
+    """k-flats cell update: the d-truncated PCA of every cell of the columns
+    of `Xt`, about the k-means cell update's means. Given `last`, the
+    (assign, flats) of an earlier update, a cell that no row entered or left
+    keeps its flat: a cell's flat depends only on its points, in row order."""
     redo = np.full(counts.size, last is None)
     if last is not None:
         moved = assign != last[0]
         redo[assign[moved]] = redo[last[0][moved]] = True
-    return [_flat_about(np.compress(assign == j, X, axis=0), offset, d)
+    return [_flat_about(np.compress(assign == j, Xt, axis=1), offset, d)
             if redo[j] else last[1][j]
-            for j, offset in enumerate(_cell_means(X, assign, counts))]
+            for j, offset in enumerate(_cell_means(Xt.T, assign, counts))]
 
 
 def _restart_steps(n: int, k: int, d: int):
-    """`_descend`'s (nearest, refit) for one restart, keeping its (n, k)
+    """`_descend`'s (nearest, refit) for one restart, keeping its (k, n)
     distance buffer and its last update between passes. The first update
     refits every cell: the start's flats refit another assignment."""
-    nearest = partial(_nearest_flat, out=np.empty((n, k)), measured=[None] * k)
+    nearest = partial(_nearest_flat, out=np.empty((k, n)), measured=[None] * k)
     last = None
 
-    def refit(X, assign, counts):
+    def refit(Xt, assign, counts):
         nonlocal last
-        last = assign, _refit_cells(X, assign, counts, d, last)
+        last = assign, _refit_cells(Xt, assign, counts, d, last)
         return last[1]
     return nearest, refit
 
@@ -240,18 +241,18 @@ def fit(data: Dataset, k: int, d: int, cfg: Optional[FitConfig] = None,
     whose rows changed, with the bits of refitting and measuring them all.
     """
     cfg = cfg or FitConfig()
-    X = data.points
+    X, Xt = data.points, np.ascontiguousarray(data.points.T)
     if not (0 <= d <= data.ambient_dim):
         raise ParameterError(f"need 0 <= d <= D, got d={d}, D={data.ambient_dim}")
 
     def start(s):
         d2, assign = min_sqdist(X, seed_kmeanspp(data, k, s))
         far = int(np.argmax(d2))
-        return _update_live(X, assign, partial(_refit_cells, d=d),
-                            [_flat_about(X[[far]], X[far], d)] * k)
+        return _update_live(Xt, assign, partial(_refit_cells, d=d),
+                            [_flat_about(Xt[:, [far]], X[far], d)] * k)
 
     flats, obj, iters, violations = _best_of_restarts(
-        start, lambda f: _descend(X, f, *_restart_steps(len(X), k, d), cfg),
+        start, lambda f: _descend(Xt, f, *_restart_steps(len(X), k, d), cfg),
         cfg, seed, trace_sink)
     return FlatsModel(flats=flats, k=k, d=d, objective=obj, iterations=iters,
                       seed=seed, descent_violations=violations)
@@ -260,7 +261,7 @@ def fit(data: Dataset, k: int, d: int, cfg: Optional[FitConfig] = None,
 def refit_residual(data: Dataset, model: FlatsModel) -> float:
     """Fixed-point certificate: objective change after one more assign+refit
     (a cell that the assignment leaves empty keeps its flat)."""
-    _, assign = model.nearest(data.points)
-    flats = _update_live(data.points, assign, partial(_refit_cells, d=model.d),
-                         model.flats)
+    Xt = np.ascontiguousarray(data.points.T)
+    flats = _update_live(Xt, _nearest_flat(Xt, model.flats)[1],
+                         partial(_refit_cells, d=model.d), model.flats)
     return abs(empirical_error(data, replace(model, flats=flats)) - model.objective)

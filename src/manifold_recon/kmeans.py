@@ -36,6 +36,14 @@ class FitConfig:
             raise ParameterError("restarts must be >= 1")
 
 
+def _json_floats(values, name: str, shape: tuple, order: str = "C") -> np.ndarray:
+    """Model field `name` as a float64 `shape` array, or a ParameterError."""
+    try:
+        return np.asarray(values, dtype=np.float64).reshape(shape, order=order)
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"{name} must hold {math.prod(shape)} numbers: {exc}") from None
+
+
 @dataclass(frozen=True)
 class MeansModel:
     """k centers plus the fit certificate data.
@@ -60,8 +68,8 @@ class MeansModel:
             raise ParameterError("centers must be a (k, D) array with k >= 1")
         if not np.isfinite(c).all():
             raise ParameterError("centers contain non-finite values")
-        if self.objective < 0:
-            raise ParameterError("objective must be >= 0")
+        if not 0.0 <= self.objective < math.inf:
+            raise ParameterError("objective must be finite and >= 0")
         c.setflags(write=False)
         object.__setattr__(self, "centers", c)
 
@@ -86,7 +94,7 @@ class MeansModel:
     @classmethod
     def from_json_dict(cls, obj: dict) -> "MeansModel":
         k, D = int(obj["k"]), int(obj["ambient_dim"])
-        centers = np.asarray(obj["centers"], dtype=np.float64).reshape(k, D)
+        centers = _json_floats(obj["centers"], "centers", (k, D))
         return cls(centers=centers, k=k, objective=float(obj["objective"]),
                    iterations=int(obj["iterations"]), seed=int(obj["seed"]))
 
@@ -171,8 +179,9 @@ def _descend(X: np.ndarray, model, nearest, refit, cfg: FitConfig):
 
     `nearest(X, model)` gives (d2, assign) against the nearest member, ties
     to the lowest index; `refit(X, assign, counts)` refits all k cells, none
-    empty. Returns (model, trace): the objective after every assignment pass
-    plus the final value for the returned model, non-increasing up to 1e-12.
+    empty. Only they read `X` (k-flats passes the points' (D, n) transpose).
+    Returns (model, trace): the objective after every assignment pass plus
+    the final value for the returned model, non-increasing up to 1e-12.
     """
     prev_assign = None
     trace: List[float] = []

@@ -69,3 +69,10 @@ def test_quick_results_are_refused(tmp_path):
     message = f"^error: {re.escape(str(quick))} holds one set-up time"
     with pytest.raises(SystemExit, match=message):
         bench_record.load([full, quick])
+
+
+def test_fingerprint_match_recorded_per_pair():
+    parent = {1: {"fingerprint": "aa"}, 2: {"fingerprint": "bb"}, 3: {"fingerprint": "cc"}}
+    change = {1: {"fingerprint": "aa"}, 2: {"fingerprint": "b0"}, 3: {"fingerprint": "cc"}}
+    assert bench_record.same_fingerprints(parent, change, [1, 2, 3]) == [True, False, True]
+    assert bench_record.same_fingerprints(parent, change, [3, 1]) == [True, True]

@@ -15,6 +15,7 @@ from manifold_recon import kflats, kmeans
 from manifold_recon.errors import ParameterError
 from manifold_recon.geometry import Dataset, sample_flat_disk, sample_sphere
 from manifold_recon.kmeans import FitConfig, _cell_means, _descend
+from manifold_recon.util import _gamma
 
 clouds = arrays(
     np.float64, st.tuples(st.integers(3, 20), st.integers(2, 4)),
@@ -27,7 +28,7 @@ def test_refit_line_through_points_is_exact():
     pts = np.array([1.0, 0.5, -0.25]) + np.outer(t, direction)
     f = kflats.refit_cell(pts, 1)
     assert not f.degenerate.any()
-    assert kflats._dist2_matrix(pts, [f]).max() < 1e-13
+    assert kflats._dist2_matrix(pts.T, [f]).max() < 1e-13
     # basis spans the line direction (sign-free)
     assert abs(abs(f.basis[:, 0] @ direction) - 1.0) < 1e-12
 
@@ -40,14 +41,14 @@ def test_refit_square_corners_tied_spectrum():
     f = kflats.refit_cell(pts, 1)
     assert np.allclose(f.offset, 0.0)
     assert abs(np.linalg.norm(f.basis[:, 0]) - 1.0) < 1e-12
-    total = kflats._dist2_matrix(pts, [f]).sum()
+    total = kflats._dist2_matrix(pts.T, [f]).sum()
     assert abs(total - 4.0) < 1e-12
     # and the objective is invariant under the choice of unit direction
     for theta in np.linspace(0.0, np.pi, 7):
         g = kflats.Flat(offset=np.zeros(2),
                         basis=np.array([[np.cos(theta)], [np.sin(theta)]]),
                         degenerate=np.zeros(1, dtype=bool))
-        assert abs(kflats._dist2_matrix(pts, [g]).sum() - 4.0) < 1e-12
+        assert abs(kflats._dist2_matrix(pts.T, [g]).sum() - 4.0) < 1e-12
 
 
 def test_refit_rank_deficient_cell_gets_degenerate_columns():
@@ -68,11 +69,11 @@ def test_flat_distance_matches_projection_formula():
     f = kflats.Flat(offset=rng.normal(size=5), basis=B,
                     degenerate=np.zeros(2, dtype=bool))
     X = rng.normal(size=(20, 5))
-    for x, d2 in zip(X, kflats._dist2_matrix(X, [f])[:, 0]):
+    for x, d2 in zip(X, kflats._dist2_matrix(X.T, [f])[0]):
         r = x - f.offset
         proj = B @ (B.T @ r)
         assert abs(d2 - float((r - proj) @ (r - proj))) < 1e-12
-    assert kflats._dist2_matrix(f.offset[None], [f])[0, 0] == 0.0
+    assert kflats._dist2_matrix(f.offset[:, None], [f])[0, 0] == 0.0
 
 
 def test_distance_invariant_under_basis_rotation():
@@ -83,8 +84,96 @@ def test_distance_invariant_under_basis_rotation():
     Q = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
     f1 = kflats.Flat(offset=np.zeros(4), basis=B, degenerate=np.zeros(2, dtype=bool))
     f2 = kflats.Flat(offset=np.zeros(4), basis=B @ Q, degenerate=np.zeros(2, dtype=bool))
-    d2 = kflats._dist2_matrix(rng.normal(size=(10, 4)), [f1, f2])
-    assert np.abs(d2[:, 0] - d2[:, 1]).max() < 1e-12
+    d2 = kflats._dist2_matrix(rng.normal(size=(10, 4)).T, [f1, f2])
+    assert np.abs(d2[0] - d2[1]).max() < 1e-12
+
+
+def _row_major_dist2(X, flats):
+    """The (n, k) row-major kernel that the feature-major one replaced."""
+    out = np.empty((X.shape[0], len(flats)))
+    for j, f in enumerate(flats):
+        R = X - f.offset
+        d2 = np.einsum("ij,ij->i", R, R) - np.square(R @ f.basis).sum(axis=1)
+        out[:, j] = np.maximum(d2, 0.0)
+    return out
+
+
+def _row_major_nearest(X, flats):
+    dist = _row_major_dist2(X, flats)
+    assign = np.argmin(dist, axis=1)
+    return dist[np.arange(X.shape[0]), assign], assign
+
+
+@st.composite
+def flats_and_points(draw):
+    """(X, flats): k random d-flats in R^D (some basis columns zero and
+    flagged degenerate, the last flat possibly a duplicate of the first) and
+    n points, some of them flat offsets (residual 0), n = D possible; the
+    whole cloud shifted by 0 or +-1e6."""
+    D, k = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    d = draw(st.integers(0, D))
+    n = draw(st.one_of(st.just(D), st.integers(1, 30)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    shift = draw(st.sampled_from([0.0, 1e6, -1e6]))
+    flats = []
+    for _ in range(k):
+        B = np.linalg.qr(rng.standard_normal((D, D)))[0][:, :d]
+        mask = rng.random(d) < 0.2
+        B[:, mask] = 0.0
+        flats.append(kflats.Flat(offset=rng.standard_normal(D) * 3 + shift, basis=B,
+                                 degenerate=mask))
+    if k > 1 and draw(st.booleans()):
+        flats[-1] = flats[0]
+    offsets = np.array([f.offset for f in flats])[rng.integers(k, size=n)]
+    X = np.where(rng.random((n, 1)) < 0.2, offsets, rng.standard_normal((n, D)) * 3 + shift)
+    return X, flats
+
+
+@settings(max_examples=300, deadline=None)
+@given(flats_and_points())
+@example((np.array([[1.0, 2.0], [3.0, 4.0]]),
+          [kflats.Flat(offset=np.zeros(2), basis=np.eye(2)[:, :1],
+                       degenerate=np.zeros(1, dtype=bool))] * 2))
+@example((np.arange(9.0).reshape(3, 3) + 1e6,
+          [kflats.Flat(offset=np.full(3, 1e6), basis=np.eye(3)[:, :2],
+                       degenerate=np.zeros(2, dtype=bool)),
+           kflats.Flat(offset=np.arange(3.0) + 1e6, basis=np.eye(3)[:, 1:],
+                       degenerate=np.zeros(2, dtype=bool))]))
+def test_feature_major_distances_match_the_row_major_kernel(case):
+    """At D = 1, and at D = 2 for d = 0 and d = 2, the (k, n) kernel gives
+    the (n, k) one's bits. Elsewhere (D >= 3, where |R|^2 is summed in
+    another order, and d = 1 at D = 2, where the BLAS matrix-vector product
+    rounds some trailing points' projections in another order) each distance
+    lies within the round-off band of the two computations,
+    2 (4d + 3) gamma_{D+d} |R|^2, and the nearest flat is the same wherever
+    the reference's best two flats lie further apart than their bands. A
+    square X checks that `nearest` reads rows as points."""
+    X, flats = case
+    n, D = X.shape
+    d = flats[0].basis.shape[1]
+    want = _row_major_dist2(X, flats)
+    got = kflats._dist2_matrix(np.ascontiguousarray(X.T), flats).T
+    want_d2, want_assign = _row_major_nearest(X, flats)
+    model = kflats.FlatsModel(flats=tuple(flats), k=len(flats), d=d, objective=0.0,
+                              iterations=1, seed=0)
+    d2, assign = model.nearest(X)
+    assert np.array_equal(d2, got[np.arange(n), assign])
+    assert np.array_equal(assign, np.argmin(got, axis=1))
+    if D == 1 or (D == 2 and d != 1):
+        assert np.array_equal(got, want)
+        assert np.array_equal(d2, want_d2) and np.array_equal(assign, want_assign)
+        return
+    r2 = np.stack([np.einsum("ij,ij->i", X - f.offset, X - f.offset) for f in flats], axis=1)
+    band = 2.01 * (4 * d + 3) * _gamma(D + d) * r2
+    assert (np.abs(got - want) <= band).all()
+    if not np.array_equal(got, want):
+        event("a distance drifted")
+    if len(flats) > 1:
+        order = np.argsort(want, axis=1, kind="stable")[:, :2]
+        rows = np.arange(n)[:, None]
+        gap = np.diff(want[rows, order], axis=1)[:, 0]
+        clear = gap > band[rows, order].sum(axis=1)
+        assert np.array_equal(assign[clear], want_assign[clear])
 
 
 def test_flat_validation():
@@ -104,6 +193,37 @@ def test_flat_validation():
     kflats.FlatsModel.from_json_dict(obj)
     obj["flats"][0]["basis"] = [1.0, 1.0, 0.0]  # not unit length
     with pytest.raises(ParameterError):
+        kflats.FlatsModel.from_json_dict(obj)
+
+
+@pytest.mark.parametrize("field, bad", [("offset", math.nan), ("offset", math.inf),
+                                        ("basis", math.nan), ("basis", -math.inf)])
+def test_flat_rejects_non_finite_values(field, bad):
+    # a NaN passes the orthonormality test, as NaN > 1e-9 is False
+    arrays = {"offset": np.zeros(3), "basis": np.eye(3)[:, :2]}
+    arrays[field] = arrays[field].copy()
+    arrays[field].flat[0] = bad
+    with pytest.raises(ParameterError, match=f"^{field} is not finite$"):
+        kflats.Flat(degenerate=np.zeros(2, dtype=bool), **arrays)
+
+
+def _flat_model_file(**top):
+    return {"k": 1, "d": 1, "ambient_dim": 3, "objective": 0.0, "iterations": 1,
+            "seed": 0, "flats": [{"offset": [0.0] * 3, "basis": [1.0, 0.0, 0.0],
+                                  "degenerate_mask": [False]}], **top}
+
+
+@pytest.mark.parametrize("objective", [math.nan, math.inf, -1.0])
+def test_flats_model_rejects_an_objective_that_is_not_a_finite_error(objective):
+    with pytest.raises(ParameterError, match="^objective must be finite and >= 0$"):
+        kflats.FlatsModel.from_json_dict(_flat_model_file(objective=objective))
+
+
+def test_model_file_with_too_few_basis_coordinates_names_the_field():
+    obj = _flat_model_file()
+    kflats.FlatsModel.from_json_dict(obj)
+    obj["flats"][0]["basis"] = [1.0, 0.0]
+    with pytest.raises(ParameterError, match="^basis must hold 3 numbers: "):
         kflats.FlatsModel.from_json_dict(obj)
 
 
@@ -225,13 +345,13 @@ def test_fit_properties(X, k, seed):
 def test_refit_is_optimal_among_random_flats(X, d):
     """PCA refit beats any random flat with the same offset freedom."""
     f = kflats.refit_cell(X, d)
-    best = kflats._dist2_matrix(X, [f]).sum()
+    best = kflats._dist2_matrix(X.T, [f]).sum()
     rng = np.random.default_rng(0)
     for _ in range(5):
         B, _ = np.linalg.qr(rng.normal(size=(X.shape[1], d)))
         g = kflats.Flat(offset=X.mean(axis=0), basis=B,
                         degenerate=np.zeros(d, dtype=bool))
-        rival = kflats._dist2_matrix(X, [g]).sum()
+        rival = kflats._dist2_matrix(X.T, [g]).sum()
         assert best <= rival + 1e-9
 
 
@@ -281,7 +401,7 @@ def test_refit_cells_match_refit_cell_bit_for_bit(cloud):
     X, assign = cloud
     counts = np.bincount(assign)
     for d in range(X.shape[1] + 1):
-        for j, f in enumerate(kflats._refit_cells(X, assign, counts, d)):
+        for j, f in enumerate(kflats._refit_cells(X.T, assign, counts, d)):
             want = kflats.refit_cell(X[assign == j], d)
             assert np.array_equal(f.offset, want.offset)
             assert np.array_equal(f.basis, want.basis)
@@ -312,7 +432,7 @@ def test_every_refit_meets_the_flat_check(cloud):
     D = X.shape[1]
     counts = np.bincount(assign)
     for d in range(D + 1):
-        for j, f in enumerate(kflats._refit_cells(X, assign, counts, d)):
+        for j, f in enumerate(kflats._refit_cells(X.T, assign, counts, d)):
             _meets_the_flat_check(f, D, d)
             _meets_the_flat_check(kflats.refit_cell(X[assign == j], d), D, d)
             if f.degenerate.any():
@@ -333,7 +453,7 @@ def test_refit_cells_offset_is_sequential_sum_at_d1():
     for v in col[:9]:
         total += v
     assert total / 9 == 6 / 9 and col[:9].mean() == 5 / 9
-    flats = kflats._refit_cells(X, assign, counts, 1)
+    flats = kflats._refit_cells(X.T, assign, counts, 1)
     assert flats[0].offset.tolist() == [6 / 9]
     assert np.array_equal(flats[0].offset, _cell_means(X, assign, counts)[0])
     assert flats[1].offset.tolist() == [2.0] and flats[1].degenerate.all()
@@ -386,14 +506,15 @@ def test_restart_steps_match_the_uncached_alternation(case, seed):
     trace and flats bit for bit."""
     X, start, d = case
     cfg = FitConfig(rel_tol=0.0, max_iters=30)
-    want, want_trace = _descend(X, start, *_uncached_steps(len(X), len(start), d), cfg)
+    Xt = np.ascontiguousarray(X.T)
+    want, want_trace = _descend(Xt, start, *_uncached_steps(len(X), len(start), d), cfg)
     nearest, refit = kflats._restart_steps(len(X), len(start), d)
     updates = []
 
     def logged(X, assign, counts):
         updates.append(refit(X, assign, counts))
         return updates[-1]
-    got, trace = _descend(X, start, nearest, logged, cfg)
+    got, trace = _descend(Xt, start, nearest, logged, cfg)
     assert trace == want_trace
     assert _same_flats(got, want)
     for a, b in zip(updates, updates[1:]):
@@ -438,9 +559,9 @@ def test_refit_cells_keep_exactly_the_unmoved_cells(cloud, data):
     counts = np.bincount(assign, minlength=k)
     assume(counts.all())
     d = D if data is None else data.draw(st.integers(0, D))
-    last = kflats._refit_cells(X, last_assign, np.bincount(last_assign), d)
-    got = kflats._refit_cells(X, assign, counts, d, (last_assign, last))
-    assert _same_flats(got, kflats._refit_cells(X, assign, counts, d))
+    last = kflats._refit_cells(X.T, last_assign, np.bincount(last_assign), d)
+    got = kflats._refit_cells(X.T, assign, counts, d, (last_assign, last))
+    assert _same_flats(got, kflats._refit_cells(X.T, assign, counts, d))
     for j in range(k):
         unmoved = np.array_equal(assign == j, last_assign == j)
         assert (got[j] is last[j]) == unmoved
@@ -454,13 +575,13 @@ def test_restart_nearest_remeasures_only_replaced_flats():
     X = np.array([[0.0, 0.0], [1.0, 2.0], [3.0, -1.0], [2.0, 2.0]])
     flats = [kflats.refit_cell(X[:2], 1), kflats.refit_cell(X[2:], 1)]
     nearest, _ = kflats._restart_steps(len(X), 2, 1)
-    nearest(X, flats)
+    nearest(X.T, flats)
     dist = nearest.keywords["out"]
-    dist[:, 0] = -1.0  # a column whose flat stays is not computed again
+    dist[0] = -1.0  # a row whose flat stays is not computed again
     flats[1] = kflats.refit_cell(X[1:], 1)
-    d2, assign = nearest(X, flats)
-    assert (dist[:, 0] == -1.0).all() and (assign == 0).all()
-    assert np.array_equal(dist[:, 1], kflats._dist2_matrix(X, flats[1:])[:, 0])
+    d2, assign = nearest(X.T, flats)
+    assert (dist[0] == -1.0).all() and (assign == 0).all()
+    assert np.array_equal(dist[1], kflats._dist2_matrix(X.T, flats[1:])[0])
 
 
 @pytest.mark.parametrize("k", [3, 4, 8])

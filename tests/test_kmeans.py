@@ -85,7 +85,7 @@ def test_empty_cell_reseeded_at_farthest_point(family):
         start = ([kf.refit_cell(X[:3], 1), far], kf._nearest_flat,
                  partial(kf._refit_cells, d=1))
         want = 0.0
-    model, trace = km._descend(X, *start, km.FitConfig())
+    model, trace = km._descend(X if family == "kmeans" else X.T, *start, km.FitConfig())
     assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
     obj = trace[-1]
     assert trace[0] == obj
@@ -105,13 +105,18 @@ def test_fits_frozen_bits():
         kf.fit(circle.sample(300, 5), 3, 1, seed=5),
         kf.fit(sample_sphere(d=2, D=3, n=200, seed=7), 5, 1, seed=7),
         kf.fit(sample_sphere(d=2, D=3, n=200, seed=8), 5, 2, seed=8),
+        # the shape of the rates-circle k-flats fits: D = 2, where the
+        # feature-major distances keep the row-major kernel's bits
+        kf.fit(circle.sample(10_000, 6), 3, 1, km.FitConfig(restarts=2, max_iters=10),
+               seed=6),
     ]
     assert [(m.objective.hex(), m.iterations) for m in fits] == [
         ("0x1.1572f6a7ebbd5p-2", 10),
         ("0x1.89549c3a5a6d6p-1", 24),
         ("0x1.51a68ddcb46a6p-6", 7),
         ("0x1.88c11311bc094p-4", 9),
-        ("0x1.a24da1c9db554p-7", 5),
+        ("0x1.a24da1c9db556p-7", 5),
+        ("0x1.743b75c6db7dbp-6", 9),
     ]
 
 
@@ -319,6 +324,20 @@ def test_validation_errors():
                       iterations=1, seed=0)
     with pytest.raises(ParameterError):
         km.empirical_error(ds, np.zeros((2, 5)))
+
+
+@pytest.mark.parametrize("objective", [math.nan, math.inf, -1.0])
+def test_model_rejects_an_objective_that_is_not_a_finite_error(objective):
+    with pytest.raises(ParameterError, match="^objective must be finite and >= 0$"):
+        km.MeansModel(centers=np.zeros((1, 2)), k=1, objective=objective,
+                      iterations=1, seed=0)
+
+
+def test_model_file_with_too_few_centre_coordinates_names_the_field():
+    obj = {"k": 2, "ambient_dim": 3, "centers": [0.0] * 5, "objective": 0.0,
+           "iterations": 1, "seed": 0}
+    with pytest.raises(ParameterError, match="^centers must hold 6 numbers: "):
+        km.MeansModel.from_json_dict(obj)
 
 
 @settings(max_examples=40, deadline=None)

@@ -17,8 +17,9 @@ and hold-out errors), which shows the workloads whose numbers a change moved. ``
 the per-layer metrics the same way. The parent is named by the commit ``--parent-rev`` and its
 ``src/`` tree sha, the change by the sha of the ``src/`` tree staged in
 git (``HEAD:src`` once it is committed). The numpy and
-OpenBLAS versions and ``nproc`` are this interpreter's and machine's, so
-run the script where the runs ran. BLAS runs on one thread in every run
+OpenBLAS versions, ``nproc`` and ``cpus`` (the CPUs of this process's
+affinity mask, over which a large fit forks its restarts) are this
+interpreter's and machine's, so run the script where the runs ran. BLAS runs on one thread in every run
 (``run.py`` pins it); the harness threads (the number of worker processes
 the harness forks for the grid) are read from each workload's make-up in
 ``perfbench/workloads.py``. For each side the record also says whether its
@@ -156,6 +157,7 @@ def main(argv=None):
         "numpy": np.__version__,
         "blas": f"{blas['name']} {blas['version']}",
         "nproc": os.cpu_count(),
+        "cpus": len(os.sched_getaffinity(0)),
         "blas_threads": 1,
         "end_to_end": {},
         "per_layer": {},

@@ -76,7 +76,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--restarts", type=int, default=_FIT.restarts)
         sp.add_argument("--threads", type=int, default=1,
                         help="worker processes for the grid's cells, each with "
-                             "one BLAS thread; 1 runs them in this process")
+                             "one BLAS thread; 1 runs them in this process, "
+                             "where a large fit forks its own restarts")
         return sp
 
     sp = cmd("sample", _cmd_sample, "draw a synthetic dataset and write the container")

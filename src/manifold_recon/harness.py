@@ -9,11 +9,7 @@ renders `summary.json`, `report.csv`, `curves.tsv` and, with a rate fit,
 `loglog.tsv` by name, and the caller writes them.
 """
 
-import ctypes
-import glob
 import math
-import os
-import pickle
 import time
 from dataclasses import asdict, dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple, Union
@@ -22,26 +18,24 @@ import numpy as np
 
 from . import kflats, kmeans
 from .bounds import BoundInputs, BoundReport, decompose, kn_kflats, kn_kmeans
-from .errors import ParameterError, WorkerError
+from .errors import ParameterError
 from .geometry import Dataset, ManifoldSpec, sample_sphere
 from .kmeans import FitConfig
 # fsum_mean and min_sqdist are unused here, but perfbench/layers.py traces them
 # under this module and its tracer test getattr()s every target, so they stay
-from .util import fsum_mean, min_sqdist, mix_seed
+from .util import _fork_map, fsum_mean, min_sqdist, mix_seed
 
 HOLDOUT_TAG = 0xB01D0071
 TRAIN_TAG = 0x7E57A11
 ALGORITHMS = ("kmeans", "kmeanspp-seed", "kflats")
 BOUND_DELTA = 0.05  # confidence parameter of the bound rows
-# numpy's wheels bundle OpenBLAS as numpy.libs/libscipy_openblas64_-<hash>.so
-OPENBLAS_LIBRARY = "libscipy_openblas64_*"
-OPENBLAS_SET_THREADS = "scipy_openblas_set_num_threads64_"
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
     """One experiment grid. `threads` is the number of worker processes
-    `_fork_map` runs its cells in; rows are the same bit for bit at any value."""
+    `_fork_map` runs its cells in (a fit outside a worker forks its own
+    restarts); rows are the same bit for bit at any value."""
     manifold: ManifoldSpec
     train_sizes: Sequence[int]
     k_grid: Union[Sequence[int], str]   # explicit grid or "auto" (balanced schedule)
@@ -171,7 +165,7 @@ def _fit_cell(spec: ExperimentSpec, train: Dataset, k: int, seed: int):
     centers, obj, iters, _ = kmeans._best_of_restarts(
         lambda s: kmeans.seed_kmeanspp(train, k, s),
         lambda c: (c, [kmeans.empirical_error(train, c)]),
-        spec.fit_config, seed, None)
+        spec.fit_config, seed, None, 0)
     return kmeans.MeansModel(centers=centers, k=k, objective=obj,
                              iterations=iters, seed=seed)
 
@@ -190,81 +184,6 @@ def _run_cell(spec: ExperimentSpec, holdout: Dataset, n: int, k: int,
         "seconds": seconds,
         "descent_violations": model.descent_violations,
     }
-
-
-def _blas_threads_setter():
-    """numpy's bundled OpenBLAS `set_num_threads(int)`, or a no-op where that
-    library or its symbol is missing (another BLAS, or no `numpy.libs`)."""
-    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
-                                  "numpy.libs", OPENBLAS_LIBRARY))
-    try:
-        setter = getattr(ctypes.CDLL(libs[0]), OPENBLAS_SET_THREADS)
-    except (IndexError, OSError, AttributeError):
-        return lambda threads: None
-    setter.argtypes, setter.restype = [ctypes.c_int], None
-    return setter
-
-
-def _fork_map(fn, items: Sequence, workers: int) -> list:
-    """[fn(item) for item in items], in min(workers, len(items)) forked
-    worker processes with BLAS pinned to one thread, so that workers share
-    no lock and do not oversubscribe the CPUs: worker w takes items w,
-    w + workers, ... At one worker, or where `os.fork` does not exist, the
-    items run serially in this process. An exception an item raises is
-    raised here with its type and message; a worker that dies raises
-    WorkerError. Every worker is reaped before this returns or raises."""
-    workers = min(workers, len(items))
-    if workers <= 1 or not hasattr(os, "fork"):
-        return [fn(item) for item in items]
-    import signal  # here, so that the serial path does not load it
-
-    set_blas_threads = _blas_threads_setter()
-    results = [None] * len(items)
-    pending = []  # (w, pid, read end of its pipe) of every worker not yet reaped
-    try:
-        for w in range(workers):
-            r, wr = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(r)
-                os.close(wr)
-                raise
-            if pid == 0:
-                code = 1
-                try:
-                    set_blas_threads(1)
-                    try:
-                        out = (True, [fn(item) for item in items[w::workers]])
-                    except Exception as exc:
-                        out = (False, exc)
-                    with open(wr, "wb") as pipe:
-                        pickle.dump(out, pipe)
-                    code = 0
-                finally:
-                    os._exit(code)  # never return into the parent's stack
-            os.close(wr)
-            pending.append((w, pid, open(r, "rb")))
-        while pending:
-            w, pid, pipe = pending[0]
-            with pipe:
-                payload = pipe.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            pending.pop(0)
-            if code != 0:
-                how = (f"was killed by signal {-code}" if code < 0
-                       else f"exited with code {code}")
-                raise WorkerError(f"a worker process {how} before returning its rows")
-            ok, value = pickle.loads(payload)
-            if not ok:
-                raise value
-            results[w::workers] = value
-        return results
-    finally:
-        for _, pid, pipe in pending:
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
 
 
 def _run_cells(spec: ExperimentSpec,

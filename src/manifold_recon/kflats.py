@@ -25,8 +25,8 @@ import numpy as np
 
 from .errors import ParameterError
 from .geometry import Dataset
-from .kmeans import (FitConfig, _best_of_restarts, _cell_means, _descend, _json_floats,
-                     _update_live, empirical_error, seed_kmeanspp)
+from .kmeans import (FitConfig, _best_of_restarts, _cell_means, _check_k, _descend,
+                     _json_floats, _update_live, empirical_error, seed_kmeanspp)
 from .util import fsum_mean, min_sqdist  # fsum_mean: perfbench traces it here
 
 # Eigen-solver contract, enforced by the refit_cell tests: basis vectors
@@ -71,6 +71,9 @@ class Flat:
         for name, a in (("offset", offset), ("basis", basis), ("degenerate", degenerate)):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
+
+    def __reduce__(self):  # frozen again when a forked restart returns it
+        return Flat._trusted, (self.offset, self.basis, self.degenerate)
 
     @classmethod
     def _trusted(cls, offset, basis, degenerate):
@@ -241,9 +244,10 @@ def fit(data: Dataset, k: int, d: int, cfg: Optional[FitConfig] = None,
     whose rows changed, with the bits of refitting and measuring them all.
     """
     cfg = cfg or FitConfig()
-    X, Xt = data.points, np.ascontiguousarray(data.points.T)
     if not (0 <= d <= data.ambient_dim):
         raise ParameterError(f"need 0 <= d <= D, got d={d}, D={data.ambient_dim}")
+    _check_k(k, data.size)
+    X, Xt = data.points, np.ascontiguousarray(data.points.T)
 
     def start(s):
         d2, assign = min_sqdist(X, seed_kmeanspp(data, k, s))
@@ -253,7 +257,7 @@ def fit(data: Dataset, k: int, d: int, cfg: Optional[FitConfig] = None,
 
     flats, obj, iters, violations = _best_of_restarts(
         start, lambda f: _descend(Xt, f, *_restart_steps(len(X), k, d), cfg),
-        cfg, seed, trace_sink)
+        cfg, seed, trace_sink, len(X) * k)
     return FlatsModel(flats=flats, k=k, d=d, objective=obj, iterations=iters,
                       seed=seed, descent_violations=violations)
 

@@ -1,8 +1,14 @@
-"""Seed mixing and distance helpers used by the fitting and experiment code."""
+"""Seed mixing, distance helpers and the forked-worker map of the fits and experiments."""
 
+import ctypes
+import glob
 import math
+import os
+import pickle
 
 import numpy as np
+
+from .errors import WorkerError
 
 _MASK64 = (1 << 64) - 1
 
@@ -42,6 +48,10 @@ EXTRACT_MIN_N = 256
 EXTRACT_LEVELS = 4
 _UNIT_ROUNDOFF = 2.0 ** -53
 _TINY = np.finfo(np.float64).tiny
+# numpy's wheels bundle OpenBLAS as numpy.libs/libscipy_openblas64_-<hash>.so
+OPENBLAS_LIBRARY = "libscipy_openblas64_*"
+OPENBLAS_SET_THREADS = "scipy_openblas_set_num_threads64_"
+_in_worker = False  # set in every process that _fork_map forks
 
 
 def _gamma(m: int) -> float:
@@ -69,8 +79,8 @@ def _screened_min(blk: np.ndarray, C: np.ndarray):
         reach = np.sqrt(np.einsum("ij,ij->i", blk, blk)) + np.sqrt(cc.max())
         band = 8.0 * _gamma(D + 3) * (reach * reach + _TINY)
         near = t <= t.min(axis=0) + band
-    j = near.argmax(axis=0)
-    diff = blk - C.take(j, axis=0)
+    j = np.arange(len(C)) @ near  # the candidate of a one-candidate row
+    diff = blk - C.take(j, axis=0, mode="clip")  # clipped rows are unsure
     d2 = np.einsum("ij,ij->i", diff, diff)
     unsure = np.flatnonzero(near.sum(axis=0) != 1)
     if unsure.size:
@@ -157,3 +167,81 @@ def fsum_mean(values: np.ndarray) -> float:
     directly, so its results, NaN and its errors included, are kept.
     """
     return _exact_sum(values) / len(values)
+
+
+def _blas_threads_setter():
+    """numpy's bundled OpenBLAS `set_num_threads(int)`, or a no-op where that
+    library or its symbol is missing (another BLAS, or no `numpy.libs`)."""
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
+                                  "numpy.libs", OPENBLAS_LIBRARY))
+    try:
+        setter = getattr(ctypes.CDLL(libs[0]), OPENBLAS_SET_THREADS)
+    except (IndexError, OSError, AttributeError):
+        return lambda threads: None
+    setter.argtypes, setter.restype = [ctypes.c_int], None
+    return setter
+
+
+def _fork_map(fn, items, workers: int) -> list:
+    """[fn(item) for item in items], in min(workers, len(items)) forked
+    worker processes with BLAS pinned to one thread, so that workers share
+    no lock and do not oversubscribe the CPUs: worker w takes items w,
+    w + workers, ... (the harness's cells, or a large fit's restarts). At
+    one worker, in a worker (which never forks again), or where `os.fork`
+    does not exist, the items run serially in this process. An exception an item raises is
+    raised here with its type and message; a worker that dies raises
+    WorkerError. Every worker is reaped before this returns or raises."""
+    global _in_worker
+    workers = min(workers, len(items))
+    if workers <= 1 or _in_worker or not hasattr(os, "fork"):
+        return [fn(item) for item in items]
+    import signal  # here, so that the serial path does not load it
+
+    set_blas_threads = _blas_threads_setter()
+    results = [None] * len(items)
+    pending = []  # (w, pid, read end of its pipe) of every worker not yet reaped
+    try:
+        for w in range(workers):
+            r, wr = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(wr)
+                raise
+            if pid == 0:
+                code = 1
+                try:
+                    _in_worker = True
+                    set_blas_threads(1)
+                    try:
+                        out = (True, [fn(item) for item in items[w::workers]])
+                    except Exception as exc:
+                        out = (False, exc)
+                    with open(wr, "wb") as pipe:
+                        pickle.dump(out, pipe)
+                    code = 0
+                finally:
+                    os._exit(code)  # never return into the parent's stack
+            os.close(wr)
+            pending.append((w, pid, open(r, "rb")))
+        while pending:
+            w, pid, pipe = pending[0]
+            with pipe:
+                payload = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            pending.pop(0)
+            if code != 0:
+                how = (f"was killed by signal {-code}" if code < 0
+                       else f"exited with code {code}")
+                raise WorkerError(f"a worker process {how} before returning its results")
+            ok, value = pickle.loads(payload)
+            if not ok:
+                raise value
+            results[w::workers] = value
+        return results
+    finally:
+        for _, pid, pipe in pending:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)

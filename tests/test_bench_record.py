@@ -76,3 +76,24 @@ def test_fingerprint_match_recorded_per_pair():
     change = {1: {"fingerprint": "aa"}, 2: {"fingerprint": "b0"}, 3: {"fingerprint": "cc"}}
     assert bench_record.same_fingerprints(parent, change, [1, 2, 3]) == [True, False, True]
     assert bench_record.same_fingerprints(parent, change, [3, 1]) == [True, True]
+
+
+def test_record_names_the_cpus_of_the_affinity_mask(tmp_path, monkeypatch, capsys):
+    # fit times depend on the CPUs a fit may fork its restarts over, which
+    # `taskset` can set below nproc
+    result = {"setup_s": [0.2] * 5, "fingerprint": "aa", "failed": 0, "attempted": 1,
+              "metrics": {"run_s": {"unit": "s", "value": 1.0}}}
+    paths = {}
+    for side in ("parent", "change"):
+        paths[side] = tmp_path / side / "small-fits-seed1-trace0.json"
+        paths[side].parent.mkdir()
+        paths[side].write_text(json.dumps(result))
+    monkeypatch.setattr(bench_record, "git", lambda *args: "0" * 40)
+    monkeypatch.setattr(bench_record.os, "sched_getaffinity", lambda pid: {1},
+                        raising=False)
+    assert bench_record.main(["--parent-rev", "HEAD", "--parent", str(paths["parent"]),
+                              "--change", str(paths["change"])]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["cpus"] == 1
+    assert record["nproc"] == bench_record.os.cpu_count()
+    assert record["end_to_end"]["small-fits"]["pairs"] == 1

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from manifold_recon import harness, kmeans
+from manifold_recon import harness, kmeans, util
 from manifold_recon.errors import ParameterError, WorkerError
 from manifold_recon.geometry import ManifoldSpec, sample_sphere
 from manifold_recon.util import mix_seed
@@ -328,12 +328,38 @@ def test_rows_larger_than_a_pipe_buffer_come_back_in_order():
 
 def test_blas_pin_is_a_no_op_without_the_library(monkeypatch):
     # the real symbol where numpy bundles OpenBLAS, else the no-op
-    setter = harness._blas_threads_setter()
-    assert setter.__name__ in (harness.OPENBLAS_SET_THREADS, "<lambda>")
-    monkeypatch.setattr(harness, "OPENBLAS_SET_THREADS", "no_such_symbol")
-    assert harness._blas_threads_setter()(1) is None
-    monkeypatch.setattr(harness, "OPENBLAS_LIBRARY", "libno_such_blas*")
-    assert harness._blas_threads_setter()(1) is None
+    setter = util._blas_threads_setter()
+    assert setter.__name__ in (util.OPENBLAS_SET_THREADS, "<lambda>")
+    monkeypatch.setattr(util, "OPENBLAS_SET_THREADS", "no_such_symbol")
+    assert util._blas_threads_setter()(1) is None
+    monkeypatch.setattr(util, "OPENBLAS_LIBRARY", "libno_such_blas*")
+    assert util._blas_threads_setter()(1) is None
+
+
+def test_cells_above_the_fork_threshold_fork_only_their_workers(monkeypatch, tmp_path):
+    # each fit's n k restarts = 2000 * 10 * 5 reaches FORK_MIN_WORK: at
+    # threads=1 every fit forks one worker per CPU, while a fit inside a
+    # cell worker runs its restarts serially, so threads=2 forks 2 processes
+    # in all; forks are counted in a file, as the workers' own forks would be
+    assert 2000 * 10 * 5 >= kmeans.FORK_MIN_WORK
+    log, fork = tmp_path / "forks", os.fork
+
+    def counting():
+        with open(log, "ab") as fh:
+            fh.write(b".")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    spec = small_spec(train_sizes=[2000], k_grid=[10, 12], repeats=1,
+                      fit_config=kmeans.FitConfig(restarts=5))
+    serial = harness.tradeoff_experiment(spec)
+    assert log.read_bytes() == b"...."
+    log.unlink()
+    forked = harness.tradeoff_experiment(replace(spec, threads=2))
+    assert log.read_bytes() == b".."
+    assert without_seconds(forked.rows) == without_seconds(serial.rows)
+    assert_no_child_left()
 
 
 def test_holdout_error_type_dispatch():

@@ -3,6 +3,7 @@ k-flats, and the fit certificates."""
 
 import json
 import math
+import os
 from functools import partial
 from unittest import mock
 
@@ -128,7 +129,7 @@ def test_best_of_restarts_reads_the_traces():
     sink = []
     model, obj, iters, viol = km._best_of_restarts(
         lambda s: s, lambda m: (m, next(traces)), km.FitConfig(restarts=3),
-        7, sink)
+        7, sink, 0)
     assert (model, obj, iters, viol) == (mix_seed(7, 1), 1.0, 2, 1)
     assert sink == [[3.0, 2.0, 2.5, 2.0], [3.0, 1.0, 1.0], [2.0, 1.0]]
 
@@ -363,3 +364,101 @@ def test_error_invariant_under_translation(X, k, seed):
     a = km.empirical_error(ds, C)
     b = km.empirical_error(Dataset(X + t), C + t)
     assert math.isclose(a, b, rel_tol=1e-6, abs_tol=1e-7)
+
+
+def _fit_family(family, data, k, cfg, seed, trace_sink=None):
+    if family == "kmeans":
+        return km.fit(data, k, cfg, seed=seed, trace_sink=trace_sink)
+    return kf.fit(data, k, 2, cfg, seed=seed, trace_sink=trace_sink)
+
+
+def _counting_forks(monkeypatch):
+    """A list that grows by one at each of this process's calls to os.fork."""
+    forks, fork = [], os.fork
+
+    def counting():
+        forks.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting)
+    return forks
+
+
+def _pin_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+
+
+@pytest.mark.parametrize("family", ["kmeans", "kflats"])
+def test_forked_restarts_match_serial_bits(monkeypatch, family):
+    # n k restarts = 2000 * 10 * 5 reaches FORK_MIN_WORK: at one CPU the
+    # restarts run here, at two in two forked workers, with the same bits
+    ds = sample_sphere(d=2, D=3, n=2000, seed=21)
+    cfg = km.FitConfig(restarts=5, max_iters=20)
+    assert ds.size * 10 * cfg.restarts >= km.FORK_MIN_WORK
+    fits, forks = [], _counting_forks(monkeypatch)
+    for cpus in (1, 2):
+        _pin_cpus(monkeypatch, cpus)
+        traces = []
+        fits.append((_fit_family(family, ds, 10, cfg, 21, traces), traces))
+        assert len(forks) == (0 if cpus == 1 else 2)
+    (serial, serial_traces), (forked, forked_traces) = fits
+    if family == "kmeans":
+        arrays_of = lambda m: [m.centers]
+    else:
+        arrays_of = lambda m: [a for f in m.flats for a in (f.offset, f.basis, f.degenerate)]
+    for a, b in zip(arrays_of(serial), arrays_of(forked), strict=True):
+        assert np.array_equal(a, b) and a.dtype == b.dtype
+        assert not b.flags.writeable
+    assert forked.objective.hex() == serial.objective.hex()
+    assert (forked.iterations, forked.descent_violations) == \
+        (serial.iterations, serial.descent_violations)
+    assert forked_traces == serial_traces and len(serial_traces) == cfg.restarts
+
+
+@pytest.mark.parametrize("family", ["kmeans", "kflats"])
+def test_fit_below_the_fork_threshold_never_forks(monkeypatch, family):
+    ds = sample_sphere(d=2, D=3, n=1000, seed=22)
+    cfg = km.FitConfig(restarts=9, max_iters=5)
+    assert ds.size * 10 * cfg.restarts < km.FORK_MIN_WORK
+    forks = _counting_forks(monkeypatch)
+    _pin_cpus(monkeypatch, 2)
+    _fit_family(family, ds, 10, cfg, 22)
+    assert forks == []
+
+
+@pytest.mark.parametrize("family", ["kmeans", "kflats"])
+def test_k_above_n_fails_before_any_restart(monkeypatch, family):
+    # 400 * 500 * 20 restarts would fork; the bad k is caught first
+    forks = _counting_forks(monkeypatch)
+    _pin_cpus(monkeypatch, 2)
+    with pytest.raises(ParameterError, match=r"^need 1 <= k <= n, got k=500, n=400$"):
+        _fit_family(family, sample_sphere(d=2, D=3, n=400, seed=23), 500,
+                    km.FitConfig(restarts=20), 23)
+    assert forks == []
+
+
+@pytest.mark.parametrize("family", ["kmeans", "kflats"])
+def test_forked_restart_error_comes_back_with_its_type_and_message(monkeypatch, family):
+    seeding = km.seed_kmeanspp
+
+    def fails_at_restart_3(data, k, seed):
+        if seed == mix_seed(24, 3):
+            raise ArithmeticError(f"restart seed {seed} failed")
+        return seeding(data, k, seed)
+
+    monkeypatch.setattr(km, "seed_kmeanspp", fails_at_restart_3)
+    monkeypatch.setattr(kf, "seed_kmeanspp", fails_at_restart_3)
+    ds = sample_sphere(d=2, D=3, n=2000, seed=24)
+    errors, forks = [], _counting_forks(monkeypatch)
+    for cpus in (1, 2):
+        _pin_cpus(monkeypatch, cpus)
+        with pytest.raises(ArithmeticError) as err:
+            _fit_family(family, ds, 10, km.FitConfig(restarts=5, max_iters=3), 24)
+        assert len(forks) == (0 if cpus == 1 else 2)
+        errors.append(err.value)
+    serial, forked = errors
+    assert type(forked) is type(serial) is ArithmeticError
+    assert str(forked) == str(serial) == f"restart seed {mix_seed(24, 3)} failed"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

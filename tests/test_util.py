@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -59,6 +59,10 @@ def adversarial(n, k, D, offset, scale, residual, dup_centres, dup_points,
        residual=st.sampled_from([0.0, 1e-15, 1e-12, 1e-6]),
        dup_centres=st.booleans(), dup_points=st.booleans(),
        midpoints=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+# rows with two candidates inside the band, duplicate centres and bisectors,
+# whose index sum names neither candidate (or no centre at all)
+@example(n=700, k=5, D=2, offset=0.0, scale=1.0, residual=0.0, dup_centres=True,
+         dup_points=False, midpoints=True, seed=0)
 def test_screen_matches_explicit_bits(n, k, D, offset, scale, residual,
                                       dup_centres, dup_points, midpoints, seed):
     X, C = adversarial(n, k, D, offset, scale, residual, dup_centres,

@@ -161,13 +161,8 @@ def _fit_cell(spec: ExperimentSpec, train: Dataset, k: int, seed: int):
     if spec.algorithm == "kflats":
         return kflats.fit(train, k, spec.manifold.intrinsic_dim, spec.fit_config,
                           seed=seed)
-    # seeding only: each run scores its k-means++ start, with no descent
-    centers, obj, iters, _ = kmeans._best_of_restarts(
-        lambda s: kmeans.seed_kmeanspp(train, k, s),
-        lambda c: (c, [kmeans.empirical_error(train, c)]),
-        spec.fit_config, seed, None, 0)
-    return kmeans.MeansModel(centers=centers, k=k, objective=obj,
-                             iterations=iters, seed=seed)
+    # seeding only: a k-means fit with no Lloyd pass scores its starts
+    return kmeans.fit(train, k, replace(spec.fit_config, max_iters=0), seed=seed)
 
 
 def _run_cell(spec: ExperimentSpec, holdout: Dataset, n: int, k: int,

@@ -8,16 +8,16 @@ evaluator (`empirical_error`), the alternation and the restarts are those of
 k-means; k-flats supplies `_nearest_flat`, the argmin of `_dist2_matrix`, as
 the assignment, `_refit_cells` as the update, and as the start the same
 update of the Voronoi cells of k-means++ point seeds. Every offset, in a
-fit and in `refit_cell`, is the k-means cell update `_cell_means`. Within a
-restart, `_restart_steps` refits only the cells that rows entered or left
-and re-measures only the distance rows of the flats it replaced. Bases
+fit and in `refit_cell`, is the k-means cell update `_cell_means`. After a
+restart's first pass, `_refit_cells` refits only the cells that rows entered
+or left, and `_nearest_flat` re-measures only the flats it replaced. Bases
 from outside (`Flat(...)`, `FlatsModel.from_json_dict`) are checked finite
 and orthonormal; the refits that `_flat_about` builds are not checked again.
 The kernels read one contiguous (D, n) copy `Xt` per fit or `nearest` call, which
 `_descend` passes on; |R|^2 at D >= 3 and some d = 1 projections drift in the last bit.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Optional
 
@@ -27,7 +27,7 @@ from .errors import ParameterError
 from .geometry import Dataset
 from .kmeans import (FitConfig, _best_of_restarts, _cell_means, _check_k, _descend,
                      _json_floats, _update_live, empirical_error, seed_kmeanspp)
-from .util import fsum_mean, min_sqdist  # fsum_mean: perfbench traces it here
+from .util import fsum_mean, min_sqdist
 
 # Eigen-solver contract, enforced by the refit_cell tests: basis vectors
 # satisfy the covariance eigen-residual ||C v - lambda v|| <= 1e-10 * ||C||
@@ -206,8 +206,8 @@ def _refit_cells(Xt: np.ndarray, assign: np.ndarray, counts: np.ndarray,
                  d: int, last=None) -> list:
     """k-flats cell update: the d-truncated PCA of every cell of the columns
     of `Xt`, about the k-means cell update's means. Given `last`, the
-    (assign, flats) of an earlier update, a cell that no row entered or left
-    keeps its flat: a cell's flat depends only on its points, in row order."""
+    (assign, flats) of `_descend`'s last pass, a cell that no row entered or
+    left keeps its flat: a cell's flat depends only on its points, in row order."""
     redo = np.full(counts.size, last is None)
     if last is not None:
         moved = assign != last[0]
@@ -217,20 +217,6 @@ def _refit_cells(Xt: np.ndarray, assign: np.ndarray, counts: np.ndarray,
             for j, offset in enumerate(_cell_means(Xt.T, assign, counts))]
 
 
-def _restart_steps(n: int, k: int, d: int):
-    """`_descend`'s (nearest, refit) for one restart, keeping its (k, n)
-    distance buffer and its last update between passes. The first update
-    refits every cell: the start's flats refit another assignment."""
-    nearest = partial(_nearest_flat, out=np.empty((k, n)), measured=[None] * k)
-    last = None
-
-    def refit(Xt, assign, counts):
-        nonlocal last
-        last = assign, _refit_cells(Xt, assign, counts, d, last)
-        return last[1]
-    return nearest, refit
-
-
 def fit(data: Dataset, k: int, d: int, cfg: Optional[FitConfig] = None,
         seed: int = 0, trace_sink: Optional[list] = None) -> FlatsModel:
     """Best-of-restarts k-flats.
@@ -238,8 +224,8 @@ def fit(data: Dataset, k: int, d: int, cfg: Optional[FitConfig] = None,
     Each restart seeds k centers by k-means++, refits their Voronoi cells
     by the k-flats cell update and makes each empty cell the degenerate
     flat through the point farthest from its nearest seed. It then
-    alternates assign/refit until the assignment is stable or the relative
-    objective decrease drops below cfg.rel_tol.
+    alternates assign/refit until the assignment is stable, the relative
+    objective decrease drops below cfg.rel_tol or cfg.max_iters passes ran.
     After the first refit, a pass refits and re-measures only the cells
     whose rows changed, with the bits of refitting and measuring them all.
     """
@@ -255,9 +241,9 @@ def fit(data: Dataset, k: int, d: int, cfg: Optional[FitConfig] = None,
         return _update_live(Xt, assign, partial(_refit_cells, d=d),
                             [_flat_about(Xt[:, [far]], X[far], d)] * k)
 
-    flats, obj, iters, violations = _best_of_restarts(
-        start, lambda f: _descend(Xt, f, *_restart_steps(len(X), k, d), cfg),
-        cfg, seed, trace_sink, len(X) * k)
+    flats, obj, iters, violations = _best_of_restarts(start, lambda f: _descend(
+        Xt, f, partial(_nearest_flat, out=np.empty((k, len(X))), measured=[None] * k),
+        partial(_refit_cells, d=d), cfg), cfg, seed, trace_sink, len(X) * k)
     return FlatsModel(flats=flats, k=k, d=d, objective=obj, iterations=iters,
                       seed=seed, descent_violations=violations)
 
@@ -268,4 +254,4 @@ def refit_residual(data: Dataset, model: FlatsModel) -> float:
     Xt = np.ascontiguousarray(data.points.T)
     flats = _update_live(Xt, _nearest_flat(Xt, model.flats)[1],
                          partial(_refit_cells, d=model.d), model.flats)
-    return abs(empirical_error(data, replace(model, flats=flats)) - model.objective)
+    return abs(fsum_mean(_nearest_flat(Xt, flats)[0]) - model.objective)

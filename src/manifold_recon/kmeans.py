@@ -4,11 +4,12 @@ Minimizes the empirical reconstruction error (mean squared distance of each
 training point to its nearest center) over sets of k points. k-means is
 k-flats with d = 0: models of both families give (d2, assign) against the
 nearest member by `nearest(X)`, which `empirical_error` scores. `_descend`
-runs either family's alternation (an empty cell takes the farthest point);
-`_best_of_restarts` runs the restarts, in forked workers for a large fit,
-and reads the best run's objective and passes, and all descent violations,
-off the traces. k-means supplies `min_sqdist`, `_cell_means` and the
-k-means++ centres as assignment, update and start.
+runs either family's alternation and holds one restart's state (an empty
+cell takes the farthest point); `_best_of_restarts` runs the restarts, in
+forked workers for a large fit, and reads the best run's objective and
+passes, and all descent violations, off the traces. k-means supplies
+`min_sqdist`, `_cell_means` and the k-means++ centres as assignment, update
+and start; at `max_iters` 0 a fit scores its starts only.
 """
 
 import math
@@ -32,8 +33,8 @@ class FitConfig:
     restarts: int = 20
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ParameterError("max_iters must be >= 1")
+        if self.max_iters < 0:
+            raise ParameterError("max_iters must be >= 0")
         if not 0.0 <= self.rel_tol < math.inf:
             raise ParameterError("rel_tol must be finite and >= 0")
         if self.restarts < 1:
@@ -158,9 +159,10 @@ def seed_kmeanspp(data: Dataset, k: int, seed: int) -> np.ndarray:
     return centers
 
 
-def _cell_means(X: np.ndarray, assign: np.ndarray,
-                counts: np.ndarray) -> np.ndarray:
-    """k-means cell update: the mean of each (non-empty) cell."""
+def _cell_means(X: np.ndarray, assign: np.ndarray, counts: np.ndarray,
+                last=None) -> np.ndarray:
+    """k-means cell update: the mean of each (non-empty) cell. `last`, the
+    previous update, is not used: a mean costs as much to keep as to redo."""
     D = X.shape[1]
     sums = np.empty((counts.size, D))
     for j in range(D):
@@ -186,12 +188,14 @@ def _descend(X: np.ndarray, model, nearest, refit, cfg: FitConfig):
     """One run of the alternation from `model`, k centres or k flats.
 
     `nearest(X, model)` gives (d2, assign) against the nearest member, ties
-    to the lowest index; `refit(X, assign, counts)` refits all k cells, none
-    empty. Only they read `X` (k-flats passes the points' (D, n) transpose).
+    to the lowest index; `refit(X, assign, counts, last=last)` refits all k
+    cells, none empty, given the last pass's (assign, model) or None. Only
+    they read `X` (k-flats passes the points' (D, n) transpose). A pass that
+    repeats the last assignment stops before a refit to the same model.
     Returns (model, trace): the objective after every assignment pass plus
     the final value for the returned model, non-increasing up to 1e-12.
     """
-    prev_assign = None
+    last = None
     trace: List[float] = []
     for _ in range(cfg.max_iters):
         d2, assign = nearest(X, model)
@@ -211,15 +215,13 @@ def _descend(X: np.ndarray, model, nearest, refit, cfg: FitConfig):
                 counts[j] += 1
                 assign[far] = j
                 d2[far] = 0.0
-        obj = fsum_mean(d2)
-        trace.append(obj)
-        stable = prev_assign is not None and np.array_equal(assign, prev_assign)
-        model = refit(X, assign, counts)
-        if stable:
+        trace.append(fsum_mean(d2))
+        if last is not None and np.array_equal(assign, last[0]):
             break
-        if len(trace) > 1 and trace[-2] - obj <= cfg.rel_tol * max(trace[-2], 1e-300):
+        model = refit(X, assign, counts, last=last)
+        if len(trace) > 1 and trace[-2] - trace[-1] <= cfg.rel_tol * max(trace[-2], 1e-300):
             break
-        prev_assign = assign
+        last = assign, model
     trace.append(fsum_mean(nearest(X, model)[0]))
     return model, trace
 
@@ -234,9 +236,10 @@ def _best_of_restarts(start, run, cfg: FitConfig, seed: int,
     given, receives each run's trace. When `size` (n k) times the restarts
     reaches FORK_MIN_WORK, the runs go through `_fork_map`, one worker per
     CPU this process may use; they come back in restart order, bit for bit.
+    A zero-pass fit only scores its starts, and never forks.
     """
     seeds = [mix_seed(seed, r) for r in range(cfg.restarts)]
-    if size * cfg.restarts >= FORK_MIN_WORK:
+    if cfg.max_iters and size * cfg.restarts >= FORK_MIN_WORK:
         cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                 else os.cpu_count() or 1)
         runs = _fork_map(lambda s: run(start(s)), seeds, cpus)
@@ -254,8 +257,9 @@ def fit(data: Dataset, k: int, cfg: Optional[FitConfig] = None, seed: int = 0,
     """Best-of-restarts k-means.
 
     Runs `cfg.restarts` independent k-means++ initializations (restart r
-    uses the derived seed mix_seed(seed, r)), each followed by Lloyd
-    iteration, and returns the run with the smallest empirical error.
+    uses the derived seed mix_seed(seed, r)), each followed by at most
+    `cfg.max_iters` Lloyd passes, and returns the run with the smallest
+    empirical error.
     `trace_sink`, when given, receives each run's objective trace.
     """
     cfg = cfg or FitConfig()

@@ -56,6 +56,15 @@ def test_fit_kmeans_end_to_end(tmp_path):
     assert model.objective < 0.2  # 4 centers on the circle
 
 
+def test_fit_kmeans_with_zero_passes_scores_the_starts(tmp_path):
+    out = tmp_path / "o"
+    assert run("sample", "--kind", "circle", "--d", "1", "--D", "2",
+               "--n", "100", "--out", str(out)) == 0
+    assert run("fit-kmeans", "--data", str(out / "dataset.mrc1"),
+               "--k", "4", "--max-iters", "0", "--out", str(out)) == 0
+    assert json.loads((out / "kmeans_model.json").read_text())["iterations"] == 0
+
+
 def test_fit_kflats_on_csv(tmp_path):
     csv_path = tmp_path / "line.csv"
     t = np.linspace(-0.5, 0.5, 30)
@@ -399,6 +408,7 @@ SELECT_K = ["select-k", "--kind", "circle", "--d", "1", "--D", "2",
     ["bounds", "--preset", "sphere", "--d", "2", "--n", "100", "--k", "4",
      "--curvature", "nan"],
     ["fit-kmeans", "--data", "{data}", "--k", "2", "--rel-tol", "nan"],
+    ["fit-kmeans", "--data", "{data}", "--k", "2", "--max-iters", "-1"],
     ["fit-kflats", "--data", "{data}", "--k", "2", "--d", "-1"],
     ["fit-kflats", "--data", "{data}", "--k", "2", "--d", "4"],
     ["oracle-check", "--trials", "0"],

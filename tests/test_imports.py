@@ -8,11 +8,12 @@ import pytest
 import manifold_recon
 
 SOURCES = sorted(Path(manifold_recon.__file__).parent.glob("*.py"))
-# imported but unused on purpose: perfbench/layers.py traces them by these
-# names, and perfbench/tests/test_checks.py::test_tracer_restores_every_attribute
+# imported but unused on purpose. perfbench/layers.py traces the harness names,
+# and perfbench/tests/test_checks.py::test_tracer_restores_every_attribute
 # getattr()s every target in its LAYERS, so deleting one fails that test; they
-# go when LAYERS stops listing them
-TRACED = {("harness", "fsum_mean"), ("harness", "min_sqdist"), ("kflats", "fsum_mean")}
+# go when LAYERS stops listing them. perfbench/tests/test_checks.py reads
+# kflats.empirical_error (test_kflats_holdout_and_bases).
+TRACED = {("harness", "fsum_mean"), ("harness", "min_sqdist"), ("kflats", "empirical_error")}
 
 
 def unused_imports(source: str) -> set:
@@ -27,10 +28,25 @@ def unused_imports(source: str) -> set:
     return imported - used - exported
 
 
+def offending_imports(source: str, exempt: set) -> set:
+    """Unused imports that are not exempt, plus stale exemptions: names the
+    module uses again or no longer imports."""
+    return unused_imports(source) ^ exempt
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
-    unused = unused_imports(path.read_text(encoding="utf-8"))
-    assert unused - {name for module, name in TRACED if module == path.stem} == set()
+    exempt = {name for module, name in TRACED if module == path.stem}
+    assert offending_imports(path.read_text(encoding="utf-8"), exempt) == set()
+
+
+def test_a_stale_exemption_is_reported():
+    source = "from .util import fsum_mean, min_sqdist\n\nmin_sqdist()\n"
+    assert unused_imports(source) == {"fsum_mean"}
+    assert offending_imports(source, set()) == {"fsum_mean"}
+    assert offending_imports(source, {"fsum_mean"}) == set()
+    assert offending_imports(source, {"fsum_mean", "min_sqdist"}) == {"min_sqdist"}  # used
+    assert offending_imports(source, {"fsum_mean", "mix_seed"}) == {"mix_seed"}  # not imported
 
 
 def imported_names(source: str) -> set:

@@ -2,7 +2,6 @@
 
 import json
 import math
-from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -466,8 +465,22 @@ def _same_flats(got, want):
         and np.array_equal(f.degenerate, g.degenerate) for f, g in zip(got, want))
 
 
-def _uncached_steps(n, k, d):
-    return kflats._nearest_flat, partial(kflats._refit_cells, d=d)
+def _fit_steps(X, k, d, restarts=1):
+    """The (nearest, refit) that `kflats.fit` hands `_descend`, one pair per
+    restart, from a zero-pass fit of `X` (whose scoring measures each start)."""
+    with mock.patch.object(kflats, "_descend", wraps=_descend) as spy:
+        kflats.fit(Dataset(X), k, d, FitConfig(max_iters=0, restarts=restarts))
+    return [call.args[2:4] for call in spy.call_args_list]
+
+
+def _uncached(nearest, refit):
+    """The steps without their caches: every distance row measured, every
+    cell refit."""
+    return nearest.func, lambda Xt, assign, counts, last: refit(Xt, assign, counts)
+
+
+def _uncached_descend(Xt, start, nearest, refit, cfg):
+    return _descend(Xt, start, *_uncached(nearest, refit), cfg)
 
 
 @st.composite
@@ -501,18 +514,18 @@ _SHIFTED = np.array([[1e6, 1e6], [1e6, 1e6], [1e6 + 1, 1e6 - 2],
           + [kflats.refit_cell(_SHIFTED[2:], 0)], 0), 0)
 @example((-_SHIFTED, [kflats.refit_cell(-_SHIFTED, 2)], 2), 1)
 def test_restart_steps_match_the_uncached_alternation(case, seed):
-    """From one start, and per restart of a whole fit, the alternation that
-    keeps unmoved cells and their distance columns gives the uncached one's
-    trace and flats bit for bit."""
+    """From one start, and per restart of a whole fit, the alternation on the
+    steps `kflats.fit` builds, which keep unmoved cells and their distance
+    rows, gives the uncached one's trace and flats bit for bit."""
     X, start, d = case
     cfg = FitConfig(rel_tol=0.0, max_iters=30)
     Xt = np.ascontiguousarray(X.T)
-    want, want_trace = _descend(Xt, start, *_uncached_steps(len(X), len(start), d), cfg)
-    nearest, refit = kflats._restart_steps(len(X), len(start), d)
+    [(nearest, refit)] = _fit_steps(X, len(start), d)
+    want, want_trace = _descend(Xt, start, *_uncached(nearest, refit), cfg)
     updates = []
 
-    def logged(X, assign, counts):
-        updates.append(refit(X, assign, counts))
+    def logged(X, assign, counts, last):
+        updates.append(refit(X, assign, counts, last=last))
         return updates[-1]
     got, trace = _descend(Xt, start, nearest, logged, cfg)
     assert trace == want_trace
@@ -524,9 +537,9 @@ def test_restart_steps_match_the_uncached_alternation(case, seed):
     if len(set(map(id, start))) < len(start):
         event("repeated start flat: the first pass takes a donor")
     fits = []
-    for steps in (_uncached_steps, kflats._restart_steps):
+    for descend in (_uncached_descend, _descend):
         traces = []
-        with mock.patch.object(kflats, "_restart_steps", steps):
+        with mock.patch.object(kflats, "_descend", descend):
             fits.append((kflats.fit(Dataset(X), len(start), d, FitConfig(restarts=3), seed,
                                     trace_sink=traces), traces))
     (want_fit, want_traces), (got_fit, got_traces) = fits
@@ -574,7 +587,9 @@ def test_refit_cells_keep_exactly_the_unmoved_cells(cloud, data):
 def test_restart_nearest_remeasures_only_replaced_flats():
     X = np.array([[0.0, 0.0], [1.0, 2.0], [3.0, -1.0], [2.0, 2.0]])
     flats = [kflats.refit_cell(X[:2], 1), kflats.refit_cell(X[2:], 1)]
-    nearest, _ = kflats._restart_steps(len(X), 2, 1)
+    steps = _fit_steps(X, 2, 1, restarts=2)
+    nearest = steps[0][0]
+    assert steps[1][0].keywords["out"] is not nearest.keywords["out"]  # one per restart
     nearest(X.T, flats)
     dist = nearest.keywords["out"]
     dist[0] = -1.0  # a row whose flat stays is not computed again

@@ -4,12 +4,13 @@ k-flats, and the fit certificates."""
 import json
 import math
 import os
+from dataclasses import replace
 from functools import partial
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -17,7 +18,7 @@ from manifold_recon import kflats as kf
 from manifold_recon import kmeans as km
 from manifold_recon.errors import ParameterError
 from manifold_recon.geometry import Dataset, ManifoldSpec, sample_sphere
-from manifold_recon.util import mix_seed
+from manifold_recon.util import fsum_mean, mix_seed
 
 finite_clouds = arrays(
     np.float64, st.tuples(st.integers(2, 25), st.integers(1, 4)),
@@ -132,6 +133,121 @@ def test_best_of_restarts_reads_the_traces():
         7, sink, 0)
     assert (model, obj, iters, viol) == (mix_seed(7, 1), 1.0, 2, 1)
     assert sink == [[3.0, 2.0, 2.5, 2.0], [3.0, 1.0, 1.0], [2.0, 1.0]]
+
+
+def _reference_descend(X, model, nearest, refit, cfg):
+    """The alternation that refit on every pass, a stable one included,
+    with `refit(X, assign, counts)`: the reference for `_descend`."""
+    prev_assign = None
+    trace = []
+    for _ in range(cfg.max_iters):
+        d2, assign = nearest(X, model)
+        counts = np.bincount(assign, minlength=len(model))
+        empties = np.flatnonzero(counts == 0)
+        if empties.size:
+            pick = d2.copy()
+            for j in empties:
+                while True:
+                    far = int(np.argmax(pick))
+                    pick[far] = -np.inf
+                    if counts[assign[far]] > 1:
+                        break
+                counts[assign[far]] -= 1
+                counts[j] += 1
+                assign[far] = j
+                d2[far] = 0.0
+        obj = fsum_mean(d2)
+        trace.append(obj)
+        stable = prev_assign is not None and np.array_equal(assign, prev_assign)
+        model = refit(X, assign, counts)
+        if stable:
+            break
+        if len(trace) > 1 and trace[-2] - obj <= cfg.rel_tol * max(trace[-2], 1e-300):
+            break
+        prev_assign = assign
+    trace.append(fsum_mean(nearest(X, model)[0]))
+    return model, trace
+
+
+def _reference_restart_steps(n, k, d):
+    """The reference's k-flats (nearest, refit) for one restart: the distance
+    buffer, and the last update kept in a closure."""
+    nearest = partial(kf._nearest_flat, out=np.empty((k, n)), measured=[None] * k)
+    last = None
+
+    def refit(Xt, assign, counts):
+        nonlocal last
+        last = assign, kf._refit_cells(Xt, assign, counts, d, last)
+        return last[1]
+    return nearest, refit
+
+
+@st.composite
+def descent_starts(draw):
+    """(family, X, start, d): rows drawn with repeats from a small pool
+    (duplicate rows, so that passes take donors) and shifted by 0 or +-1e6;
+    k in 1..5 start members, of which some may repeat (their cells start
+    empty); d in 0..D for k-flats, whose members refit random row groups."""
+    family, D = draw(st.sampled_from(["kmeans", "kflats"])), draw(st.integers(1, 3))
+    pool = draw(arrays(np.float64, st.tuples(st.integers(1, 8), st.just(D)),
+                       elements=st.floats(-5, 5, allow_nan=False, width=64)))
+    rows = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=40))
+    X = pool[rows] + draw(st.sampled_from([0.0, 1e6, -1e6]))
+    k = draw(st.integers(1, min(5, len(X))))
+    picks = draw(st.lists(st.integers(0, k - 1), min_size=k, max_size=k))
+    if family == "kmeans":
+        members = draw(st.lists(st.integers(0, len(X) - 1), min_size=k, max_size=k))
+        return family, X, X[members][picks], 0
+    d = draw(st.integers(0, D))
+    labels = np.array(draw(st.lists(st.integers(0, k - 1), min_size=len(X),
+                                    max_size=len(X))))
+    flats = [kf.refit_cell(X[labels == j] if (labels == j).any() else X[0], d)
+             for j in range(k)]
+    return family, X, [flats[i] for i in picks], d
+
+
+def _model_bytes(model):
+    if isinstance(model, np.ndarray):
+        return [model.tobytes()]
+    return [a.tobytes() for f in model for a in (f.offset, f.basis, f.degenerate)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(descent_starts(), st.integers(1, 30), st.sampled_from([0.0, km.FitConfig().rel_tol]))
+def test_descend_matches_the_reference_loop(case, max_iters, rel_tol):
+    """The loop gives the reference's trace, passes and model bits, and calls
+    `refit` once fewer on a restart that ends stable, as often otherwise."""
+    family, X, start, d = case
+    cfg = km.FitConfig(max_iters=max_iters, rel_tol=rel_tol)
+    if family == "kmeans":
+        (nearest, refit), (want_nearest, want_refit) = [(km.min_sqdist, km._cell_means)] * 2
+    else:
+        X, k = np.ascontiguousarray(X.T), len(start)
+        nearest = partial(kf._nearest_flat, out=np.empty((k, X.shape[1])), measured=[None] * k)
+        refit = partial(kf._refit_cells, d=d)
+        want_nearest, want_refit = _reference_restart_steps(X.shape[1], k, d)
+    want_assigns, got_assigns = [], []
+
+    def want_logged(X, assign, counts):
+        want_assigns.append(assign.copy())
+        return want_refit(X, assign, counts)
+
+    def got_logged(X, assign, counts, last):
+        got_assigns.append(assign.copy())
+        return refit(X, assign, counts, last=last)
+
+    want, want_trace = _reference_descend(X, start, want_nearest, want_logged, cfg)
+    got, trace = km._descend(X, start, nearest, got_logged, cfg)
+    assert [v.hex() for v in trace] == [v.hex() for v in want_trace]
+    assert _model_bytes(got) == _model_bytes(want)
+    stable = len(want_assigns) > 1 and np.array_equal(*want_assigns[-2:])
+    assert len(got_assigns) == len(want_assigns) - stable
+    assert all(np.array_equal(a, b) for a, b in zip(got_assigns, want_assigns))
+    event("stable" if stable else "capped" if len(want_trace) - 1 == max_iters
+          else "rel_tol")
+    members = [m.tobytes() for m in start] if family == "kmeans" else list(map(id, start))
+    if len(set(members)) < len(members):
+        event("repeated start member: the first pass takes a donor")
 
 
 @pytest.mark.parametrize("family", ["kmeans", "kflats"])
@@ -317,7 +433,7 @@ def test_validation_errors():
     with pytest.raises(ParameterError):
         km.fit(ds, 4)
     with pytest.raises(ParameterError):
-        km.FitConfig(max_iters=0)
+        km.FitConfig(max_iters=-1)
     with pytest.raises(ParameterError):
         km.FitConfig(rel_tol=-1.0)
     with pytest.raises(ParameterError):
@@ -425,6 +541,26 @@ def test_fit_below_the_fork_threshold_never_forks(monkeypatch, family):
     _pin_cpus(monkeypatch, 2)
     _fit_family(family, ds, 10, cfg, 22)
     assert forks == []
+
+
+def test_zero_passes_score_the_starts_without_forking(monkeypatch):
+    # max_iters 0 is the seeding-only baseline: the first of the least of the
+    # restarts' scored k-means++ starts; it only scores them, so it never
+    # forks, where one pass would
+    ds = sample_sphere(d=2, D=3, n=300, seed=25)
+    cfg = km.FitConfig(max_iters=0, restarts=7)
+    starts = [km.seed_kmeanspp(ds, 5, mix_seed(25, r)) for r in range(cfg.restarts)]
+    scores = [km.empirical_error(ds, c) for c in starts]
+    monkeypatch.setattr(km, "FORK_MIN_WORK", 1)
+    forks, traces = _counting_forks(monkeypatch), []
+    _pin_cpus(monkeypatch, 2)
+    m = km.fit(ds, 5, cfg, seed=25, trace_sink=traces)
+    assert forks == []
+    assert m.centers.tobytes() == starts[scores.index(min(scores))].tobytes()
+    assert (m.objective, m.iterations, m.descent_violations) == (min(scores), 0, 0)
+    assert traces == [[v] for v in scores]
+    km.fit(ds, 5, replace(cfg, max_iters=1), seed=25)
+    assert len(forks) == 2
 
 
 @pytest.mark.parametrize("family", ["kmeans", "kflats"])

@@ -12,9 +12,9 @@ fit and in `refit_cell`, is the k-means cell update `_cell_means`. After a
 restart's first pass, `_refit_cells` refits only the cells that rows entered
 or left, and `_nearest_flat` re-measures only the flats it replaced. Bases
 from outside (`Flat(...)`, `FlatsModel.from_json_dict`) are checked finite
-and orthonormal; the refits that `_flat_about` builds are not checked again.
-The kernels read one contiguous (D, n) copy `Xt` per fit or `nearest` call, which
-`_descend` passes on; |R|^2 at D >= 3 and some d = 1 projections drift in the last bit.
+and orthonormal, and their normals derived once; the refits that
+`_refit_cells` builds are not checked again. The kernels read one contiguous
+(D, n) copy `Xt` per fit or `nearest` call, which `_descend` passes on.
 """
 
 from dataclasses import dataclass, field
@@ -31,10 +31,16 @@ from .util import fsum_mean, min_sqdist
 
 # Eigen-solver contract, enforced by the refit_cell tests: basis vectors
 # satisfy the covariance eigen-residual ||C v - lambda v|| <= 1e-10 * ||C||
-# (LAPACK SVD is far inside this for unit-ball data). Ties leave the basis
-# non-unique; only the projection operator B B^T is contractual.
+# (LAPACK's eigh of the cell scatter is far inside this for unit-ball data).
+# Ties leave the basis non-unique; only the projection B B^T is contractual.
 EIG_RESIDUAL_TOL = 1e-10
 _EPS = np.finfo(np.float64).eps
+
+
+def _by_normals(D: int, d: int) -> bool:
+    """Distances to d-flats in R^D go along their D - d normals if there are
+    d + 1 or fewer, else along the basis, as |R - B B^T R|^2."""
+    return D <= 2 * d + 1
 
 
 @dataclass(frozen=True)
@@ -43,13 +49,16 @@ class Flat:
 
     Zero columns (flagged via `degenerate`) stand in for directions a
     rank-deficient cell could not determine; they contribute nothing to
-    projections. `Flat(...)` checks the basis: |B^T B - diag(~degenerate)|
-    <= 1e-9; the refits that `_flat_about` builds skip it (`_trusted`).
+    projections. `normals` (D - r orthonormal columns, r live ones) spans the
+    rest of R^D where distances read it (`_by_normals`), else is None; equality
+    and the model file ignore it. `Flat(...)` checks |B^T B - diag(~degenerate)|
+    <= 1e-9 and derives the normals; refits pass theirs in, unchecked (`_trusted`).
     """
 
     offset: np.ndarray
     basis: np.ndarray
     degenerate: np.ndarray
+    normals: Optional[np.ndarray] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         off = np.ascontiguousarray(self.offset, dtype=np.float64)
@@ -65,22 +74,25 @@ class Flat:
         want = np.diag((~mask).astype(float))
         if gram.size and np.max(np.abs(gram - want)) > 1e-9:
             raise ParameterError("basis columns not orthonormal (or zero where degenerate)")
-        self._freeze(off, B, mask)
+        live = B[:, ~mask]  # B B^T has eigenvalue 0 on the normals, 1 on the basis
+        self._freeze(off, B, mask, np.linalg.eigh(live @ live.T)[1][:, :len(off) - live.shape[1]]
+                     if _by_normals(*B.shape) else None)
 
-    def _freeze(self, offset, basis, degenerate):
-        for name, a in (("offset", offset), ("basis", basis), ("degenerate", degenerate)):
-            a.setflags(write=False)
+    def _freeze(self, *arrays):
+        for name, a in zip(("offset", "basis", "degenerate", "normals"), arrays):
+            if a is not None:
+                a.setflags(write=False)
             object.__setattr__(self, name, a)
 
     def __reduce__(self):  # frozen again when a forked restart returns it
-        return Flat._trusted, (self.offset, self.basis, self.degenerate)
+        return Flat._trusted, (self.offset, self.basis, self.degenerate, self.normals)
 
     @classmethod
-    def _trusted(cls, offset, basis, degenerate):
-        """A Flat of arrays known valid, as `_flat_about` builds them,
-        frozen without the checks."""
+    def _trusted(cls, offset, basis, degenerate, normals):
+        """A Flat of arrays known valid, as `_refit_cells` builds them, frozen
+        without the checks; it keeps the normals where distances read them."""
         flat = object.__new__(cls)
-        flat._freeze(offset, basis, degenerate)
+        flat._freeze(offset, basis, degenerate, normals if _by_normals(*basis.shape) else None)
         return flat
 
     @property
@@ -150,17 +162,31 @@ class FlatsModel:
 
 
 def _dist2_matrix(Xt: np.ndarray, flats, out=None, measured=None) -> np.ndarray:
-    """(k, n) squared residuals of the columns of `Xt`: |R|^2 over the rows of
-    R = Xt - offset, less |B^T R|^2. Of a kept buffer `out`, only rows whose flat
+    """(k, n) squared residuals |N^T (x - o)|^2 of the columns x of `Xt`: one
+    product of the flats' stacked normals N with the points centred at the
+    first, z, less N^T (o - z). Of a kept buffer `out`, only rows whose flat
     is not the object `measured` lists are recomputed (flats are frozen)."""
     if out is None:
         out, measured = np.empty((len(flats), Xt.shape[1])), [None] * len(flats)
-    for j, f in enumerate(flats):
-        if measured[j] is not f:
-            R = Xt - f.offset[:, None]
-            P = np.square(f.basis.T @ R)
-            np.maximum(np.square(R, out=R).sum(axis=0) - P.sum(axis=0), 0.0, out=out[j])
-            measured[j] = f
+    redo = [j for j, f in enumerate(flats) if measured[j] is not f]
+    measured[:] = flats
+    if not redo or flats[0].normals is None:  # R - B B^T R of R = x - o, flat by flat
+        for j in redo:
+            R = Xt - flats[j].offset[:, None]
+            R -= flats[j].basis @ (flats[j].basis.T @ R)
+            np.einsum("ij,ij->j", R, R, out=out[j])
+        return out
+    (D, n), z = Xt.shape, Xt[:, :1]
+    N = np.zeros((len(redo), max(flats[j].normals.shape[1] for j in redo), D))
+    for row, j in zip(N, redo):  # a flat with fewer normals gets zero rows
+        row[:flats[j].normals.shape[1]] = flats[j].normals.T
+    c = N.shape[1]
+    b = N @ (np.array([flats[j].offset for j in redo])[:, :, None] - z)
+    P = np.matmul(N.reshape(-1, D), Xt - z, out=out if c == 1 and len(redo) == len(out) else None)
+    P -= b.reshape(-1, 1)
+    np.square(P, out=P)
+    if P is not out:
+        out[redo] = P.reshape(len(redo), c, n).sum(axis=1)
     return out
 
 
@@ -180,19 +206,6 @@ def refit_cell(points: np.ndarray, d: int) -> Flat:
     return _refit_cells(pts.T, np.zeros(len(pts), np.intp), np.array([len(pts)]), d)[0]
 
 
-def _flat_about(cell: np.ndarray, offset: np.ndarray, d: int) -> Flat:
-    """The top-d principal directions of the non-empty (D, m) `cell` about
-    `offset`, its mean."""
-    basis, rank = np.zeros((cell.shape[0], d)), 0
-    if d > 0 and cell.shape[1] > 1:
-        _, s, vt = np.linalg.svd((cell - offset[:, None]).T, full_matrices=False)
-        if s.size and s[0] > 0.0:
-            tol = s[0] * max(cell.shape) * _EPS
-            rank = min(d, int(np.count_nonzero(s > tol)))
-            basis[:, :rank] = vt[:rank].T
-    return Flat._trusted(offset, basis, np.arange(d) >= rank)
-
-
 def _nearest_flat(Xt: np.ndarray, flats, out=None, measured=None):
     """(d2, assign) of each column of `Xt`: the nearest flat, ties to the lowest."""
     dist = _dist2_matrix(Xt, flats, out, measured)
@@ -204,17 +217,29 @@ def _nearest_flat(Xt: np.ndarray, flats, out=None, measured=None):
 
 def _refit_cells(Xt: np.ndarray, assign: np.ndarray, counts: np.ndarray,
                  d: int, last=None) -> list:
-    """k-flats cell update: the d-truncated PCA of every cell of the columns
-    of `Xt`, about the k-means cell update's means. Given `last`, the
-    (assign, flats) of `_descend`'s last pass, a cell that no row entered or
-    left keeps its flat: a cell's flat depends only on its points, in row order."""
+    """k-flats cell update: the d-truncated PCA of each cell of the columns of
+    `Xt` about its `_cell_means` mean, by one batched `eigh` of the scatters:
+    basis the top d eigenvectors, normals the bottom D - r, rank r the count
+    above max(m, D) eps times the largest for m rows (unsquared: eigh leaves
+    ~eps times that on a zero one). Given `last`, the (assign, flats) of the
+    last pass, a cell that no row entered or left keeps its flat."""
     redo = np.full(counts.size, last is None)
     if last is not None:
         moved = assign != last[0]
         redo[assign[moved]] = redo[last[0][moved]] = True
-    return [_flat_about(np.compress(assign == j, Xt, axis=1), offset, d)
-            if redo[j] else last[1][j]
-            for j, offset in enumerate(_cell_means(Xt.T, assign, counts))]
+    offsets, cells, D = _cell_means(Xt.T, assign, counts), np.flatnonzero(redo), Xt.shape[0]
+    S = np.empty((cells.size, D, D))
+    for scatter, j in zip(S, cells):
+        R = np.compress(assign == j, Xt, axis=1) - offsets[j][:, None]
+        np.matmul(R, R.T, out=scatter)
+    lam, V = np.linalg.eigh(S)  # ascending
+    rank = np.minimum(d, (lam > lam[:, -1:] * (np.maximum(counts[cells], D) * _EPS)[:, None]).sum(1))
+    live = np.arange(d) < rank[:, None]
+    bases = np.where(live[:, None], V[:, :, ::-1][:, :, :d], 0.0)
+    flats = list(last[1]) if last is not None else [None] * counts.size
+    for j, basis, dead, normals, c in zip(cells.tolist(), bases, ~live, V, (D - rank).tolist()):
+        flats[j] = Flat._trusted(offsets[j], basis, dead, normals[:, :c])
+    return flats
 
 
 def fit(data: Dataset, k: int, d: int, cfg: Optional[FitConfig] = None,
@@ -233,13 +258,13 @@ def fit(data: Dataset, k: int, d: int, cfg: Optional[FitConfig] = None,
     if not (0 <= d <= data.ambient_dim):
         raise ParameterError(f"need 0 <= d <= D, got d={d}, D={data.ambient_dim}")
     _check_k(k, data.size)
-    X, Xt = data.points, np.ascontiguousarray(data.points.T)
+    X, Xt, D = data.points, np.ascontiguousarray(data.points.T), data.ambient_dim
 
     def start(s):
         d2, assign = min_sqdist(X, seed_kmeanspp(data, k, s))
         far = int(np.argmax(d2))
-        return _update_live(Xt, assign, partial(_refit_cells, d=d),
-                            [_flat_about(Xt[:, [far]], X[far], d)] * k)
+        return _update_live(Xt, assign, partial(_refit_cells, d=d), [Flat._trusted(
+            X[far], np.zeros((D, d)), np.ones(d, bool), np.eye(D))] * k)
 
     flats, obj, iters, violations = _best_of_restarts(start, lambda f: _descend(
         Xt, f, partial(_nearest_flat, out=np.empty((k, len(X))), measured=[None] * k),
